@@ -21,6 +21,12 @@ byte is consumed.  Every tag write the fast copy *would* have made is a
 clear-on-already-clear: the bitmap is bit-identical to an always-on run.
 """
 
-from repro.adaptive.controller import BOUNDARY_DEAD_GRS, AdaptiveController
+from repro.adaptive.controller import (
+    ADAPTIVE_MODES,
+    BOUNDARY_DEAD_GRS,
+    AdaptiveController,
+    resolve_mode,
+)
 
-__all__ = ["AdaptiveController", "BOUNDARY_DEAD_GRS"]
+__all__ = ["ADAPTIVE_MODES", "AdaptiveController", "BOUNDARY_DEAD_GRS",
+           "resolve_mode"]

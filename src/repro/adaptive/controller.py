@@ -65,6 +65,31 @@ BOUNDARY_DEAD_GRS = frozenset(
 MODE_TRACK = "track"
 MODE_FAST = "fast"
 
+#: The tracking modes a machine runs in: the ``adaptive=`` value of
+#: :func:`repro.core.shift.build_machine` (which documents each) and of
+#: every build path above it.  Every mode but ``"none"`` needs the
+#: dual-version layout.
+ADAPTIVE_MODES = ("none", "on", "track", "speculate")
+
+
+def resolve_mode(mode: Optional[str], dual: Optional[bool] = None) -> str:
+    """Validate a tracking mode against the program layout.
+
+    ``dual`` tells whether the program has the dual-version layout
+    (None: not compiled yet).  With no mode, a compiled program's layout
+    decides: ``"on"`` for dual, ``"none"`` for single.  Raises
+    ``ValueError`` for an unknown mode or one the layout cannot honour.
+    """
+    if mode is None:
+        return "on" if dual else "none"
+    if mode not in ADAPTIVE_MODES:
+        raise ValueError(f"unknown adaptive mode {mode!r}")
+    if dual is not None and dual != (mode != "none"):
+        layout = "dual-version" if dual else "single-version"
+        raise ValueError(f"adaptive mode {mode!r} cannot run a {layout} "
+                         "program")
+    return mode
+
 
 class AdaptiveController:
     """Owns the machine's tracking mode and performs the hot switches."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Union
 
+from repro.adaptive import resolve_mode
 from repro.compiler.instrument import ShiftOptions, UNINSTRUMENTED
 from repro.compiler.pipeline import CompiledProgram, compile_program
 from repro.cpu.faults import Fault
@@ -69,24 +70,31 @@ def build_machine(
     recover_max_recoveries: int = 1000,
     machine_id: Optional[str] = None,
     net_capacity: Optional[int] = None,
-    adaptive: bool = False,
-    adaptive_switching: bool = True,
-    speculative: bool = False,
+    adaptive: Optional[str] = None,
 ) -> Machine:
     """Compile (if needed) and load a guest into a ready Machine.
 
-    ``adaptive=True`` compiles a dual-version program; pre-compiled
-    programs carrying an adaptive layout get a controller regardless.
-    ``adaptive_switching=False`` loads a dual-version program but pins
-    it in track mode (the differential baseline for testing).
-    ``speculative=True`` adds the repro.spec controller on top of the
-    adaptive one (fast-path execution under taint-range guards).
+    ``adaptive`` is the tracking mode (:data:`repro.adaptive.ADAPTIVE_MODES`):
+
+    * ``"none"``: a plain single-version build, always tracked;
+    * ``"on"``: a dual-version build whose controller switches to the
+      clean copy while the machine is taint-quiescent;
+    * ``"track"``: a dual-version build pinned in the instrumented copy
+      (the always-on differential baseline with the same layout);
+    * ``"speculate"``: ``"on"`` plus the repro.spec controller, which
+      runs the clean copy under taint-range guards.
+
+    Sources are compiled dual-version exactly when the mode is not
+    ``"none"``.  With no mode, a pre-compiled program's layout decides
+    (dual: ``"on"``, single: ``"none"``); a mode the layout cannot
+    honour raises ``ValueError``.
     """
     if isinstance(sources, CompiledProgram):
         compiled = sources
     else:
-        compiled = compile_protected(sources, options, include_libc=include_libc,
-                                     adaptive=adaptive)
+        compiled = compile_protected(
+            sources, options, include_libc=include_libc,
+            adaptive=resolve_mode(adaptive) != "none")
     return Machine(
         compiled,
         policy_config=policy_config,
@@ -106,8 +114,7 @@ def build_machine(
         recover_max_recoveries=recover_max_recoveries,
         machine_id=machine_id,
         net_capacity=net_capacity,
-        adaptive=adaptive_switching,
-        speculative=speculative,
+        adaptive=adaptive,
     )
 
 

@@ -281,65 +281,55 @@ class CPU:
         self.pc = context.pc
         self.issue.flush()  # a context switch drains the pipeline
 
+    def run(self, max_instructions: int = 200_000_000) -> None:
+        """Execute until the guest exits; raises on fault or runaway.
+
+        A sequence of :meth:`run_slice` calls (a slice also ends at a
+        yield request, which a single-context run resumes past), and
+        :class:`RunawayError` naming the pc and instruction if the guest
+        is still running when ``max_instructions`` have retired.
+        """
+        remaining = max_instructions - self.run_slice(max_instructions)
+        while not self.halted and remaining > 0:
+            remaining -= self.run_slice(remaining)
+        if not self.halted:
+            pc, code = self.pc, self.program.code
+            raise RunawayError(
+                f"instruction budget exhausted at pc={pc} "
+                f"({code[pc] if 0 <= pc < len(code) else '?'})"
+            )
+
     def run_slice(self, budget: int) -> int:
         """Execute up to ``budget`` instructions; returns instructions run.
 
-        Stops early when the guest halts or a native requests a yield
-        (thread blocking).  Used by the thread scheduler.
+        This holds each engine's only instruction loop.  It stops early
+        when the guest halts or a native requests a yield (thread
+        blocking), and always ends with the issue pipeline flushed.
+        :meth:`run`, the thread scheduler and the resil supervisor are
+        all built on it.
         """
-        if self.engine == "predecoded":
-            return self._run_slice_predecoded(budget)
-        return self._run_slice_reference(budget)
-
-    def run(self, max_instructions: int = 200_000_000) -> None:
-        """Execute until the guest exits; raises on fault or runaway."""
-        if self.engine == "predecoded":
-            self._run_predecoded(max_instructions)
-        else:
-            self._run_reference(max_instructions)
-
-    # -- reference engine (dispatch per step, hoisted loop) ---------------
-
-    def _run_reference(self, max_instructions: int) -> None:
-        code = self.program.code
-        n = len(code)
-        dispatch = self._dispatch
-        pr = self.pr
-        issue = self.issue.issue
-        budget = max_instructions
-        while not self.halted:
-            if budget <= 0:
-                raise RunawayError(
-                    f"instruction budget exhausted at pc={self.pc} "
-                    f"({code[self.pc] if 0 <= self.pc < n else '?'})"
-                )
-            budget -= 1
-            pc = self.pc
-            if not 0 <= pc < n:
-                raise IllegalInstructionFault(f"pc out of range: {pc}")
-            instr = code[pc]
-            try:
-                qp = instr.qp
-                if qp and not pr[qp]:
-                    issue(instr)
-                    self.pc = pc + 1
-                else:
-                    dispatch[instr.op](instr)
-            except Fault as fault:
-                self._fault_abort(pc, fault)
-        self.issue.flush()
-
-    def _run_slice_reference(self, budget: int) -> int:
         counters = self.counters
         start = counters.instructions
         self.yield_requested = False
+        if not self.halted:
+            if self.engine == "predecoded":
+                self._slice_predecoded(start + budget)
+            else:
+                self._slice_reference(start + budget)
+        self.issue.flush()
+        return counters.instructions - start
+
+    # -- reference engine (dispatch per step, hoisted loop) ---------------
+
+    def _slice_reference(self, limit: int) -> None:
+        counters = self.counters
         code = self.program.code
         n = len(code)
         dispatch = self._dispatch
         pr = self.pr
         issue = self.issue.issue
-        while (not self.halted and not self.yield_requested
-               and counters.instructions - start < budget):
+        while (counters.instructions < limit and not self.halted
+               and not self.yield_requested):
             pc = self.pc
             if not 0 <= pc < n:
                 raise IllegalInstructionFault(f"pc out of range: {pc}")
@@ -353,8 +343,6 @@ class CPU:
                     dispatch[instr.op](instr)
             except Fault as fault:
                 self._fault_abort(pc, fault)
-        self.issue.flush()
-        return counters.instructions - start
 
     # -- predecoded engine (micro-op closures) ----------------------------
 
@@ -370,201 +358,76 @@ class CPU:
         fused = self._fused = predecode_fused(self)
         return fused
 
-    def _run_predecoded(self, max_instructions: int) -> None:
-        if self.halted:
-            self.issue.flush()
-            return
+    def _slice_predecoded(self, limit: int) -> None:
+        from repro.cpu.predecode import MAX_BLOCK
+
+        counters = self.counters
         uops = self._uops
         if uops is None:
             uops = self._ensure_uops()
-        fused = self._fused
-        if fused is None:
-            fused = self._ensure_fused()
         n = len(uops)
-        counters = self.counters
-        limit = counters.instructions + max_instructions
-        # A fused block executes up to MAX_BLOCK instructions per call,
-        # so the bulk loop stops short of the budget and a per-pc tail
-        # loop enforces the exact exhaustion point.
-        safe = limit - 64
-        pc = self.pc
-        while counters.instructions < safe:
-            if not 0 <= pc < n:
-                self.pc = pc
-                raise IllegalInstructionFault(f"pc out of range: {pc}")
-            blk = fused[pc]
-            if blk is not None:
-                try:
-                    pc = blk(pc)
-                except Fault as fault:
-                    self._fault_abort(self._fault_pc, fault)
-                except BaseException:
-                    self.pc = pc
-                    raise
-                # Fused blocks return plain pcs; only a lazy trampoline
-                # falling back to a break micro-op can return the
-                # complemented sentinel (see below).
-                if pc >= 0:
-                    continue
-            else:
-                # Micro-ops return the next pc, or its bitwise
-                # complement when the halted/yield flags may have
-                # changed (only break micro-ops run handlers), so the
-                # hot loop needs no per-step flag checks.
-                try:
-                    pc = uops[pc](pc)
-                except Fault as fault:
-                    self._fault_abort(pc, fault)
-                except BaseException:
-                    self.pc = pc
-                    raise
-            if pc < 0:
-                pc = ~pc
-                if self.halted:
-                    self.pc = pc
-                    self.issue.flush()
-                    return
-        self.pc = pc
-        self._run_predecoded_tail(limit - counters.instructions)
-
-    def _run_predecoded_tail(self, budget: int) -> None:
-        """Per-pc loop with exact budget enforcement (rarely reached)."""
-        uops = self._uops
-        n = len(uops)
-        code = self.program.code
+        # A fused block retires up to MAX_BLOCK instructions per call,
+        # so blocks run only while a whole one fits in the budget; the
+        # rest of the slice runs per micro-op and stops exactly at
+        # ``limit`` (every path counts instructions 1:1).
+        table = self._fused
+        if table is None:
+            table = self._ensure_fused()
+        stop = limit - MAX_BLOCK
         pc = self.pc
         while True:
-            if budget <= 0:
-                self.pc = pc
-                raise RunawayError(
-                    f"instruction budget exhausted at pc={pc} "
-                    f"({code[pc] if 0 <= pc < n else '?'})"
-                )
-            budget -= 1
-            if not 0 <= pc < n:
-                self.pc = pc
-                raise IllegalInstructionFault(f"pc out of range: {pc}")
-            try:
-                pc = uops[pc](pc)
-            except Fault as fault:
-                self._fault_abort(pc, fault)
-            except BaseException:
-                self.pc = pc
-                raise
-            if pc < 0:
-                pc = ~pc
-                if self.halted:
+            if counters.instructions >= stop:
+                if table is uops:
                     break
-        self.pc = pc
-        self.issue.flush()
-
-    def _run_slice_predecoded(self, budget: int) -> int:
-        counters = self.counters
-        start = counters.instructions
-        self.yield_requested = False
-        if self.halted:
-            self.issue.flush()
-            return 0
-        uops = self._uops
-        if uops is None:
-            uops = self._ensure_uops()
-        n = len(uops)
-        pc = self.pc
-        limit = start + budget
-        # Bulk of the slice: fused blocks, exactly as in the unsliced
-        # run loop, so supervised (recover-mode) execution pays no
-        # per-instruction dispatch tax.  Every path increments the
-        # instruction counter 1:1, so stopping 64 short of the budget
-        # (a fused block runs at most MAX_BLOCK < 64 instructions) and
-        # finishing per-uop enforces the exact slice length.
-        safe = limit - 64
-        if counters.instructions < safe:
-            fused = self._fused
-            if fused is None:
-                fused = self._ensure_fused()
-            while counters.instructions < safe:
-                if not 0 <= pc < n:
-                    self.pc = pc
-                    raise IllegalInstructionFault(f"pc out of range: {pc}")
-                blk = fused[pc]
-                if blk is not None:
-                    try:
-                        pc = blk(pc)
-                    except Fault as fault:
-                        self._fault_abort(self._fault_pc, fault)
-                    except BaseException:
-                        self.pc = pc
-                        raise
-                    if pc >= 0:
-                        continue
-                else:
-                    try:
-                        pc = uops[pc](pc)
-                    except Fault as fault:
-                        self._fault_abort(pc, fault)
-                    except BaseException:
-                        self.pc = pc
-                        raise
-                if pc < 0:
-                    pc = ~pc
-                    if self.halted or self.yield_requested:
-                        self.pc = pc
-                        self.issue.flush()
-                        return counters.instructions - start
-        # Exact tail (and the whole slice for small budgets).
-        while counters.instructions < limit:
+                table, stop = uops, limit
+                continue
             if not 0 <= pc < n:
                 self.pc = pc
                 raise IllegalInstructionFault(f"pc out of range: {pc}")
+            # ``fused[pc]`` is None where no block leads: run the micro-op.
+            op = table[pc] or uops[pc]
             try:
-                pc = uops[pc](pc)
+                pc = op(pc)
             except Fault as fault:
-                self._fault_abort(pc, fault)
+                # Blocks cover several pcs and report the faulting one.
+                self._fault_abort(pc if op is uops[pc] else self._fault_pc,
+                                  fault)
             except BaseException:
                 self.pc = pc
                 raise
+            # Only break micro-ops (and a trampoline falling back to one)
+            # return the complemented next pc, flagging that the halted
+            # or yield flags may have changed, so the loop reads no flags
+            # per step.
             if pc < 0:
                 pc = ~pc
                 if self.halted or self.yield_requested:
                     break
         self.pc = pc
-        self.issue.flush()
-        return counters.instructions - start
 
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Execute one instruction at the current pc (reference path)."""
-        code = self.program.code
-        pc = self.pc
-        if not 0 <= pc < len(code):
-            raise IllegalInstructionFault(f"pc out of range: {pc}")
-        try:
-            self._execute(code[pc])
-        except Fault as fault:
-            self._fault_abort(pc, fault)
+        """Execute one instruction at the current pc via the active engine.
 
-    def step_fast(self) -> None:
-        """Execute one instruction via the active engine.
-
-        The thread scheduler's instrumentation drain uses this so that
-        serialized-bitmap runs execute identical micro-ops to the bulk
-        loop regardless of engine.
+        The issue group stays open, so steps interleave exactly with the
+        slice loop (the thread scheduler's instrumentation drain relies
+        on this).
         """
-        if self.engine != "predecoded":
-            self.step()
-            return
-        uops = self._uops
-        if uops is None:
-            uops = self._ensure_uops()
         pc = self.pc
-        if not 0 <= pc < len(uops):
+        if not 0 <= pc < len(self.program.code):
             raise IllegalInstructionFault(f"pc out of range: {pc}")
         try:
-            npc = uops[pc](pc)
+            if self.engine == "predecoded":
+                uops = self._uops
+                if uops is None:
+                    uops = self._ensure_uops()
+                npc = uops[pc](pc)
+                self.pc = npc if npc >= 0 else ~npc
+            else:
+                self._execute(self.program.code[pc])
         except Fault as fault:
             self._fault_abort(pc, fault)
-        self.pc = npc if npc >= 0 else ~npc
 
     def _fault_abort(self, pc: int, fault: Fault) -> None:
         """Shared fault protocol: locate, trace, hook, re-raise."""

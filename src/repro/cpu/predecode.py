@@ -12,7 +12,7 @@ bitmasks, branch-target pcs and the issue-model limits are embedded as
 literals, and the issue accounting is inlined straight into the body so
 the hot path makes no calls besides memory/cache accesses.  Generated
 factories are compiled once per unique shape (a process-wide cache), and
-identical instructions share one closure.  ``CPU._run_predecoded`` then
+identical instructions share one closure.  ``CPU.run_slice`` then
 just indexes a flat list and calls.
 
 Micro-op contract: ``uop(pc) -> next_pc``.  Only break (SYS) micro-ops
@@ -26,8 +26,8 @@ Equivalence rules (enforced by tests/test_engine_differential.py):
 * The inlined issue accounting is a literal replica of
   ``IssueModel.issue`` specialized by instruction kind, and it reads and
   writes the *same* ``IssueModel`` instance state (``_group`` and its
-  bitmask friends), so reference ``step()`` calls — e.g. the thread
-  scheduler's instrumentation drain — interleave exactly.
+  bitmask friends), so reference-path execution (``CPU._execute``
+  fallbacks, the reference engine's ``step()``) interleaves exactly.
 * ``pair_costs`` buckets are created lazily on first execution, never at
   predecode time, so the set of (role, origin) keys matches the
   reference run bit-for-bit.
@@ -712,8 +712,9 @@ def predecode(cpu: CPU) -> List[Uop]:
 
 _PLAIN_KINDS = frozenset((OpKind.ALU, OpKind.CMP, OpKind.LOAD, OpKind.STORE,
                           OpKind.MOVBR, OpKind.MOVAR, OpKind.NOP))
-#: Maximum instructions fused into one block; CPU._run_predecoded keeps
-#: a larger budget margin so blocks never overrun max_instructions.
+#: Maximum instructions fused into one block (a terminating branch
+#: included).  CPU.run_slice uses it as its budget guard band so blocks
+#: never overrun a slice.
 MAX_BLOCK = 24
 
 

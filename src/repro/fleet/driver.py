@@ -56,9 +56,8 @@ class FleetConfig:
     tracing: bool = False
     #: Shared trace path; each worker's machine id derives its own file.
     trace_path: Optional[str] = None
-    #: Per-worker on-demand tracking (repro.adaptive): "none", "on",
-    #: "track" or "speculate" (repro.spec fast-path execution) — see
-    #: :data:`repro.harness.runners.ADAPTIVE_MODES`.
+    #: Per-worker tracking mode, one of
+    #: :data:`repro.adaptive.ADAPTIVE_MODES`.
     adaptive: str = "none"
     max_instructions: int = MAX_INSTRUCTIONS
 

@@ -74,7 +74,7 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
     all-clear tag vector (the payload bytes are identical) — the
     control arm that shows what the backend misses without the wire
     taint.  ``adaptive`` selects the backend tier's execution mode
-    (one of :data:`repro.harness.runners.ADAPTIVE_MODES`); under
+    (one of :data:`repro.adaptive.ADAPTIVE_MODES`); under
     ``"speculate"`` the backend serves requests on the fast copy with
     sends deferred to epoch commit, so a rolled-back epoch must leave
     zero phantom bytes on the wire.

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.adaptive import resolve_mode
 from repro.apps.guestvm import (GUESTVM_KV_SOURCE, GUESTVM_PING_SOURCE,
                                 GUESTVM_TMPL_SOURCE)
 from repro.apps.spec import BENCHMARKS, SpecBenchmark
@@ -90,20 +91,17 @@ def run_spec(
 ) -> MeasuredRun:
     """Run one SPEC kernel under one configuration.
 
-    ``adaptive`` is one of :data:`ADAPTIVE_MODES` (dual-version builds
-    for the on-demand tracking experiments).
+    ``adaptive`` is one of :data:`repro.adaptive.ADAPTIVE_MODES`
+    (dual-version builds for the on-demand tracking experiments).
     """
-    if adaptive not in ADAPTIVE_MODES:
-        raise ValueError(f"unknown adaptive mode {adaptive!r}")
     compiled = compiled_spec(bench, options, scale,
-                             adaptive=adaptive != "none")
+                             adaptive=resolve_mode(adaptive) != "none")
     machine = build_machine(
         compiled,
         policy_config=spec_policy(safe_input),
         files={"/data": bench.make_input(scale)},
         engine=engine,
-        adaptive_switching=adaptive in ("on", "speculate"),
-        speculative=adaptive == "speculate",
+        adaptive=adaptive,
     )
     exit_code = machine.run()
     counters = machine.counters
@@ -239,14 +237,6 @@ WEB_VARIANTS: Dict[str, str] = {
     "specstore": SPECSTORE_SOURCE,
 }
 
-#: ``adaptive=`` values accepted by the web build path: ``"none"`` is a
-#: plain single-version build, ``"on"`` a dual-version build with the
-#: mode controller switching, ``"track"`` a dual-version build pinned in
-#: track mode (the differential baseline — same code layout as "on"),
-#: ``"speculate"`` the controller plus the repro.spec speculation layer
-#: (fast-path execution under taint-range guards).
-ADAPTIVE_MODES = ("none", "on", "track", "speculate")
-
 _web_cache: Dict[Tuple[str, ShiftOptions, bool], CompiledProgram] = {}
 
 
@@ -288,13 +278,11 @@ def build_web_machine(
     exactly one place.  ``files`` overrides the default document root
     built from ``sizes``; ``policy_config`` defaults to
     :func:`webserver_policy`; ``adaptive`` is one of
-    :data:`ADAPTIVE_MODES`.
+    :data:`repro.adaptive.ADAPTIVE_MODES`.
     """
-    if adaptive not in ADAPTIVE_MODES:
-        raise ValueError(f"unknown adaptive mode {adaptive!r}")
     compiled = compiled_webserver(
         options if options is not None else PERF_OPTIONS["byte"], variant,
-        adaptive=adaptive != "none")
+        adaptive=resolve_mode(adaptive) != "none")
     return build_machine(
         compiled,
         policy_config=(policy_config if policy_config is not None
@@ -307,8 +295,7 @@ def build_web_machine(
         net_capacity=net_capacity,
         tracing=tracing,
         trace_path=trace_path,
-        adaptive_switching=adaptive in ("on", "speculate"),
-        speculative=adaptive == "speculate",
+        adaptive=adaptive,
     )
 
 

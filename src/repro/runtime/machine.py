@@ -17,6 +17,7 @@ import os as _os
 import weakref
 from typing import Dict, List, Optional
 
+from repro.adaptive import AdaptiveController, resolve_mode
 from repro.compiler.instrument import GRANULARITY_BYTE
 from repro.compiler.pipeline import CompiledProgram
 from repro.cpu.core import CPU, code_address
@@ -111,14 +112,14 @@ class Machine:
         recover_max_recoveries: int = 1000,
         machine_id: Optional[str] = None,
         net_capacity: Optional[int] = None,
-        adaptive: bool = True,
-        speculative: bool = False,
+        adaptive: Optional[str] = None,
     ) -> None:
         #: Stable identity used for per-machine trace filenames and
         #: fleet incident attribution ("worker w3 quarantined request 5").
         self.machine_id = machine_id if machine_id is not None \
             else f"m{next(_MACHINE_ORDINAL)}"
         self.compiled = compiled
+        mode = resolve_mode(adaptive, compiled.adaptive is not None)
         self.program: Program = compiled.program
         self.memory = SparseMemory()
         self.symbols: Dict[str, int] = {}
@@ -197,14 +198,12 @@ class Machine:
         #: malloc'd block sizes by address, so free() can drop the
         #: block's taint (heap taint drains when the guest releases it).
         self._heap_sizes: Dict[int, int] = {}
-        #: Adaptive mode controller (repro.adaptive), present only for
-        #: dual-version builds with switching enabled.  ``adaptive=False``
-        #: on a dual build forces always-track: execution never leaves
-        #: the instrumented copies (the differential baseline).
+        #: Adaptive mode controller (repro.adaptive), present in the
+        #: switching modes ("on", "speculate").  A dual build in "track"
+        #: mode never leaves the instrumented copies (the differential
+        #: baseline).
         self.adaptive = None
-        if adaptive and compiled.adaptive is not None:
-            from repro.adaptive import AdaptiveController
-
+        if mode in ("on", "speculate"):
             self.adaptive = AdaptiveController(self)
         from repro.runtime.threads import ThreadManager
 
@@ -227,7 +226,7 @@ class Machine:
         #: Requires the adaptive controller (it switches between the
         #: same two program copies).
         self.spec = None
-        if speculative and self.adaptive is not None:
+        if mode == "speculate":
             from repro.spec import SpeculationController
 
             self.spec = SpeculationController(self)

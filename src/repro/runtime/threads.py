@@ -237,13 +237,13 @@ class ThreadManager:
         cpu = self.cpu
         code = self.machine.program.code
         n = len(code)
-        step_fast = cpu.step_fast
+        step = cpu.step
         extra = 0
         while (not cpu.halted and not cpu.yield_requested
                and extra < budget
                and 0 <= cpu.pc < n
                and code[cpu.pc].role is not None):
-            step_fast()
+            step()
             extra += 1
         cpu.issue.flush()
 

@@ -117,6 +117,41 @@ class TestControllerMaps:
         assert not ({4, 5, 6, 7, 8, 12} & BOUNDARY_DEAD_GRS)
 
 
+class TestModeValidation:
+    """One tracking-mode value, checked against the program layout."""
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return compile_protected(SMALL, BYTE_STRICT)
+
+    @pytest.fixture(scope="class")
+    def dual(self):
+        return compile_protected(SMALL, BYTE_STRICT, adaptive=True)
+
+    @pytest.mark.parametrize("mode", ["on", "track", "speculate"])
+    def test_dual_modes_reject_single_version_program(self, single, mode):
+        with pytest.raises(ValueError):
+            build_machine(single, adaptive=mode)
+
+    def test_none_rejects_dual_version_program(self, dual):
+        with pytest.raises(ValueError):
+            build_machine(dual, adaptive="none")
+
+    def test_unknown_mode_rejected(self, single, dual):
+        for sources in (SMALL, single, dual):
+            with pytest.raises(ValueError):
+                build_machine(sources, BYTE_STRICT, adaptive="always")
+
+    @pytest.mark.parametrize("mode,switching,speculating", [
+        ("none", False, False), ("on", True, False),
+        ("track", False, False), ("speculate", True, True)])
+    def test_source_builds_honour_mode(self, mode, switching, speculating):
+        machine = build_machine(SMALL, BYTE_STRICT, adaptive=mode)
+        assert (machine.compiled.adaptive is not None) == (mode != "none")
+        assert (machine.adaptive is not None) == switching
+        assert (machine.spec is not None) == speculating
+
+
 # -- the O(1) live-taint counter (satellites 1 and 2) -----------------------
 
 

@@ -10,11 +10,13 @@ runs one workload under both engines and compares.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.spec import BENCHMARKS
 from repro.core.shift import build_machine
 from repro.cpu import CPU
 from repro.cpu.faults import NaTConsumptionFault, RunawayError
+from repro.cpu.predecode import MAX_BLOCK
 from repro.isa import assemble
 from repro.mem import REGION_DATA, SparseMemory, make_address
 from repro.harness.runners import (
@@ -274,7 +276,11 @@ class TestFaultKindsDifferential:
                                 cpu.counters.snapshot())
         assert outcomes["reference"] == outcomes["predecoded"]
 
-    def test_runaway_identical(self):
+    # Budgets around the fused-block guard band: a block retires up to
+    # MAX_BLOCK instructions, so the slice loop switches to per-uop
+    # execution near the end of the budget.
+    @pytest.mark.parametrize("budget", [1, MAX_BLOCK, 63, 64, 65, 1_000])
+    def test_runaway_identical(self, budget):
         text = f"""
         func main:
             movl r14 = 0
@@ -288,8 +294,9 @@ class TestFaultKindsDifferential:
         for engine in ENGINES:
             cpu = _asm_cpu(text, engine)
             with pytest.raises(RunawayError):
-                cpu.run(max_instructions=1_000)
-            outcomes[engine] = cpu.counters.snapshot()
+                cpu.run(max_instructions=budget)
+            assert cpu.counters.instructions == budget
+            outcomes[engine] = (cpu.pc, cpu.counters.snapshot())
         assert outcomes["reference"] == outcomes["predecoded"]
 
 
@@ -358,3 +365,79 @@ class TestThreads:
         ref, pre = machines["reference"], machines["predecoded"]
         assert ref.exit_code == pre.exit_code == 1600
         assert_counters_identical(ref.counters, pre.counters)
+
+
+SLICED = READ + """
+char buf[64];
+int table[32];
+int main() {
+    read(0, buf, 48);
+    int acc = 7;
+    for (int round = 0; round < 4; round = round + 1) {
+        for (int i = 0; i < 48; i = i + 1) {
+            table[i & 31] = table[i & 31] + buf[i] * (round + 1);
+            acc = acc * 31 + table[(i * 7) & 31];
+        }
+        read(0, buf, 16);
+    }
+    return acc & 255;
+}
+"""
+
+_SLICED_STDIN = bytes(range(33, 33 + 80))
+
+
+def _sliced_machine(compiled, engine):
+    return build_machine(compiled, policy_config=PolicyConfig(),
+                         stdin=_SLICED_STDIN, engine=engine)
+
+
+def _arch_state(machine):
+    cpu = machine.cpu
+    pages = {pno: bytes(pg) for pno, pg in machine.memory._pages.items()
+             if any(pg)}
+    return (cpu.pc, list(cpu.gr), list(cpu.nat), list(cpu.pr), pages,
+            machine.counters.instructions, cpu.exit_code)
+
+
+@pytest.fixture(scope="module")
+def sliced():
+    """(compiled program, final state of one uninterrupted run)."""
+    from repro.core.shift import compile_protected
+
+    compiled = compile_protected(SLICED, BYTE_STRICT, include_libc=False)
+    machine = _sliced_machine(compiled, "predecoded")
+    machine.run(max_instructions=5_000_000)
+    return compiled, _arch_state(machine)
+
+
+_BUDGETS = st.one_of(
+    st.integers(min_value=1, max_value=3 * MAX_BLOCK),
+    st.sampled_from([MAX_BLOCK - 1, MAX_BLOCK, MAX_BLOCK + 1, 63, 64, 65,
+                     1_000, 5_000]))
+
+
+class TestSliceSchedules:
+    """Any split of a run into slices is architecturally invisible.
+
+    Each slice end flushes the issue pipeline, so cycles legitimately
+    differ between schedules; across engines they must not.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(schedule=st.lists(_BUDGETS, min_size=1, max_size=40))
+    def test_sliced_run_matches_uninterrupted(self, sliced, schedule):
+        compiled, uninterrupted = sliced
+        machines = {}
+        for engine in ENGINES:
+            machine = _sliced_machine(compiled, engine)
+            for budget in schedule:
+                if machine.cpu.halted:
+                    break
+                machine.cpu.run_slice(budget)
+            while not machine.cpu.halted:
+                machine.cpu.run_slice(5_000_000)
+            assert _arch_state(machine) == uninterrupted
+            machines[engine] = machine
+        assert_counters_identical(machines["reference"].counters,
+                                  machines["predecoded"].counters)

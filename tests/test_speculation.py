@@ -197,8 +197,7 @@ class TestEpochLifecycle:
     def test_taint_freed_mid_speculation_commits_drained(self):
         machine = build_machine(
             DRAIN_SOURCE, BYTE_STRICT, policy_config=_quiet_policy(),
-            adaptive=True, adaptive_switching=True, speculative=True,
-            tracing=True)
+            adaptive="speculate", tracing=True)
         for payload in (b"T", b"F", b"X"):
             machine.net.add_request(payload)
         machine.run(max_instructions=500_000_000)
@@ -223,15 +222,14 @@ class TestEpochLifecycle:
             machine = build_machine(
                 ECHO_SOURCE, BYTE_STRICT,
                 policy_config=_tainted_net_policy(),
-                adaptive=adaptive, adaptive_switching=adaptive,
-                speculative=adaptive, tracing=True)
+                adaptive=adaptive, tracing=True)
             for payload in requests:
                 machine.net.add_request(payload)
             machine.run(max_instructions=500_000_000)
             return machine
 
-        spec_m = run(True)
-        track_m = run(False)
+        spec_m = run("speculate")
+        track_m = run("none")
         trips = [e for e in _spec_events(spec_m, "rollback")
                  if e.reason == "taint-motion"]
         assert trips, "the widening recv import must trip the guard"
