@@ -1,6 +1,12 @@
 """SPEC-like kernel tests: correctness across instrumentation modes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.apps.spec import BENCHMARKS
 from repro.core.shift import build_machine
@@ -36,6 +42,18 @@ class TestCatalogue:
     def test_inputs_deterministic(self):
         for bench in BENCHMARKS.values():
             assert bench.make_input("test") == bench.make_input("test")
+        # ... and across processes, whose str hashes differ.
+        script = ("import hashlib; from repro.apps.spec import BENCHMARKS; "
+                  "print(hashlib.sha256(b''.join(b.make_input('test') "
+                  "for b in BENCHMARKS.values())).hexdigest())")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     def test_unknown_placeholder_rejected(self):
         from repro.apps.spec.common import SpecBenchmark
