@@ -203,14 +203,14 @@ class CPU:
         #: scheduling slice after the instruction completes.
         self.yield_requested = False
         self._dispatch = self._build_dispatch()
-        #: Execution engine: "predecoded" runs micro-op closures built
-        #: once per program (see repro.cpu.predecode); "reference" keeps
+        #: Execution engine: "predecoded" runs generated blocks built
+        #: on first execution (see repro.cpu.predecode); "reference" keeps
         #: the original dispatch-per-step loop for differential testing.
         self.engine = engine
         self._uops: Optional[list] = None
         self._fused: Optional[list] = None
-        #: Faulting pc reported by fused blocks (which cover several
-        #: instructions, so the block entry pc is not precise enough).
+        #: Faulting pc reported by predecoded blocks (which may cover
+        #: several instructions, so the block entry pc is not precise).
         self._fault_pc = 0
         #: Recent stores (addr, size, seq) for the store-to-load
         #: forwarding penalty (see IssueConfig.store_forward_penalty).
@@ -344,7 +344,7 @@ class CPU:
             except Fault as fault:
                 self._fault_abort(pc, fault)
 
-    # -- predecoded engine (micro-op closures) ----------------------------
+    # -- predecoded engine (generated blocks) -----------------------------
 
     def _ensure_uops(self) -> list:
         from repro.cpu.predecode import predecode
@@ -368,7 +368,7 @@ class CPU:
         n = len(uops)
         # A fused block retires up to MAX_BLOCK instructions per call,
         # so blocks run only while a whole one fits in the budget; the
-        # rest of the slice runs per micro-op and stops exactly at
+        # rest of the slice runs on the per-pc table and stops exactly at
         # ``limit`` (every path counts instructions 1:1).
         table = self._fused
         if table is None:
@@ -384,21 +384,19 @@ class CPU:
             if not 0 <= pc < n:
                 self.pc = pc
                 raise IllegalInstructionFault(f"pc out of range: {pc}")
-            # ``fused[pc]`` is None where no block leads: run the micro-op.
+            # ``fused[pc]`` is None where no block leads: run per pc.
             op = table[pc] or uops[pc]
             try:
                 pc = op(pc)
             except Fault as fault:
                 # Blocks cover several pcs and report the faulting one.
-                self._fault_abort(pc if op is uops[pc] else self._fault_pc,
-                                  fault)
+                self._fault_abort(self._fault_pc, fault)
             except BaseException:
-                self.pc = pc
+                self.pc = self._fault_pc
                 raise
-            # Only break micro-ops (and a trampoline falling back to one)
-            # return the complemented next pc, flagging that the halted
-            # or yield flags may have changed, so the loop reads no flags
-            # per step.
+            # Only blocks ending in a break return the complemented next
+            # pc, flagging that the halted or yield flags may have
+            # changed, so the loop reads no flags per step.
             if pc < 0:
                 pc = ~pc
                 if self.halted or self.yield_requested:

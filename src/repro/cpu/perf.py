@@ -259,7 +259,7 @@ class IssueModel:
 
 
 #: Public alias used by the predecoded engine, which replicates
-#: ``IssueModel.issue`` inline inside its micro-op closures and needs the
+#: ``IssueModel.issue`` inline inside its generated blocks and needs the
 #: same static metadata tuples (cached on the instruction) to stay
 #: bit-identical with the reference accounting.
 perf_meta = _perf_meta

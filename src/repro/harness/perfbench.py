@@ -98,8 +98,10 @@ def web_workload(requests: int, file_kb: int = 4) -> Tuple[Builder, Runner]:
 def measure(build: Builder, run: Runner, engine: str, repeat: int) -> Dict:
     """Best-of-``repeat`` wall time for one workload under one engine.
 
-    Each repetition uses a fresh machine; predecode tables are built
-    before the timer starts, and the process-wide codegen cache makes
+    Each repetition uses a fresh machine.  Its predecode tables are
+    created before the timer starts, but they are lazy: a block is
+    rendered on its first execution, inside the timed run.  The
+    per-program source cache and the process-wide codegen cache make
     repetitions after the first warm, so best-of reflects steady state.
     """
     best = math.inf

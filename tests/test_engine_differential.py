@@ -1,12 +1,14 @@
 """Differential tests: predecoded engine vs the reference step loop.
 
-The predecoded engine (micro-op closures plus fused basic blocks, see
-``repro.cpu.predecode``) must be *observably identical* to the
+The predecoded engine (generated blocks in a per-pc and a fused table,
+see ``repro.cpu.predecode``) must be *observably identical* to the
 reference dispatch loop: same architectural results, bit-identical
 ``PerfCounters`` (including the creation order and contents of the
 per-role cost buckets), the same faults at the same pcs, the same
 security alerts, and the same trace-event streams.  Every test here
-runs one workload under both engines and compares.
+runs one workload under both engines and compares, except
+``test_no_reference_fallback``, which checks that the predecoded engine
+runs every SPEC kernel instruction as generated code.
 """
 
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.spec import BENCHMARKS
 from repro.core.shift import build_machine
-from repro.cpu import CPU
+from repro.cpu import BREAK_NATIVE_BASE, CPU
 from repro.cpu.faults import NaTConsumptionFault, RunawayError
+from repro.cpu.perf import IssueConfig
 from repro.cpu.predecode import MAX_BLOCK
 from repro.isa import assemble
 from repro.mem import REGION_DATA, SparseMemory, make_address
@@ -69,20 +72,43 @@ def assert_traces_identical(ref_machine, pre_machine):
     assert strip(ref_machine) == strip(pre_machine)
 
 
+def count_fallbacks(machine):
+    """Record every instruction the machine runs on ``CPU._execute``.
+
+    On the predecoded engine that is the slow escape for shapes the
+    block renderer does not handle; the identity checks cannot see an
+    instruction kind silently taking it.
+    """
+    calls = []
+    execute = machine.cpu._execute
+
+    def counted(instr):
+        calls.append(str(instr))
+        execute(instr)
+
+    machine.cpu._execute = counted
+    return calls
+
+
+def _spec_machine(bench, options, engine="predecoded", issue_config=None):
+    return build_machine(
+        compiled_spec(bench, options, "test"),
+        policy_config=spec_policy(False),
+        files={"/data": bench.make_input("test")}, engine=engine,
+        issue_config=issue_config)
+
+
 class TestSpecKernels:
     @pytest.mark.parametrize("config", ["none", "byte", "word-both"])
     def test_gzip_bit_identical(self, config):
         bench = BENCHMARKS["gzip"]
-        options = PERF_OPTIONS[config]
-        compiled = compiled_spec(bench, options, "test")
-        data = bench.make_input("test")
-        results = {}
+        results, fallbacks = {}, {}
         for engine in ENGINES:
-            machine = build_machine(
-                compiled, policy_config=spec_policy(False),
-                files={"/data": data}, engine=engine)
+            machine = _spec_machine(bench, PERF_OPTIONS[config], engine)
+            fallbacks[engine] = count_fallbacks(machine)
             machine.run()
             results[engine] = machine
+        assert fallbacks["predecoded"] == []
         ref, pre = results["reference"], results["predecoded"]
         assert ref.read_global("result") == pre.read_global("result")
         assert_counters_identical(ref.counters, pre.counters)
@@ -90,13 +116,37 @@ class TestSpecKernels:
 
     def test_mcf_bit_identical(self):
         bench = BENCHMARKS["mcf"]
-        compiled = compiled_spec(bench, PERF_OPTIONS["byte"], "test")
-        data = bench.make_input("test")
+        counters, fallbacks = {}, {}
+        for engine in ENGINES:
+            machine = _spec_machine(bench, PERF_OPTIONS["byte"], engine)
+            fallbacks[engine] = count_fallbacks(machine)
+            machine.run()
+            counters[engine] = machine.counters
+        assert fallbacks["predecoded"] == []
+        assert_counters_identical(counters["reference"],
+                                  counters["predecoded"])
+
+    @pytest.mark.parametrize("config", ["none", "byte"])
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_no_reference_fallback(self, name, config):
+        machine = _spec_machine(BENCHMARKS[name], PERF_OPTIONS[config])
+        fallbacks = count_fallbacks(machine)
+        machine.run()
+        assert fallbacks == []
+
+    # Machines sharing one compiled program must not share generated
+    # code built for another machine's issue model.
+    @pytest.mark.parametrize("issue_config", [
+        IssueConfig(width=1, mem_ports=1),
+        IssueConfig(branch_penalty=10),
+    ], ids=["width1", "penalty10"])
+    def test_shared_program_honours_issue_config(self, issue_config):
+        bench = BENCHMARKS["gzip"]
+        _spec_machine(bench, PERF_OPTIONS["byte"]).run()
         counters = {}
         for engine in ENGINES:
-            machine = build_machine(
-                compiled, policy_config=spec_policy(False),
-                files={"/data": data}, engine=engine)
+            machine = _spec_machine(bench, PERF_OPTIONS["byte"], engine,
+                                    issue_config)
             machine.run()
             counters[engine] = machine.counters
         assert_counters_identical(counters["reference"],
@@ -107,16 +157,18 @@ class TestWebserver:
     def test_served_and_counters_identical(self):
         compiled = compiled_webserver(PERF_OPTIONS["byte"])
         site = make_site((2,))
-        machines = {}
+        machines, fallbacks = {}, {}
         for engine in ENGINES:
             machine = build_machine(
                 compiled, policy_config=webserver_policy(),
                 files=dict(site), engine=engine)
             for _ in range(5):
                 machine.net.add_request(make_request(2))
+            fallbacks[engine] = count_fallbacks(machine)
             served = machine.run(max_instructions=100_000_000)
             assert served == 5
             machines[engine] = machine
+        assert fallbacks["predecoded"] == []
         assert_counters_identical(machines["reference"].counters,
                                   machines["predecoded"].counters)
         assert_alerts_identical(machines["reference"],
@@ -300,6 +352,42 @@ class TestFaultKindsDifferential:
         assert outcomes["reference"] == outcomes["predecoded"]
 
 
+class _HandlerError(Exception):
+    pass
+
+
+class TestHandlerExceptions:
+    """A break ends its block; a handler that raises is located there."""
+
+    TEXT = f"""
+    func main:
+        movl r14 = 5
+        add r15 = r14, r14
+        break {BREAK_NATIVE_BASE:#x}
+        add r16 = r15, r15
+        {EXIT}
+    endfunc
+    """
+
+    @pytest.mark.parametrize("error", [_HandlerError, NaTConsumptionFault])
+    def test_raising_handler_identical(self, error):
+        def native(cpu, index):
+            raise error("load_addr")
+
+        outcomes = {}
+        for engine in ENGINES:
+            cpu = CPU(assemble(self.TEXT), SparseMemory(),
+                      syscall_handler=_exit_syscall, native_handler=native,
+                      engine=engine)
+            with pytest.raises(error) as excinfo:
+                cpu.run(max_instructions=1_000)
+            assert str(cpu.program.code[cpu.pc]).startswith("break")
+            outcomes[engine] = (cpu.pc, getattr(excinfo.value, "pc", None),
+                                cpu.counters.snapshot(),
+                                cpu.issue._group_slots)
+        assert outcomes["reference"] == outcomes["predecoded"]
+
+
 class TestCheckpointDifferential:
     def test_rollback_resume_identical_across_engines(self):
         """checkpoint -> attack -> rollback -> resume, pinned across
@@ -341,6 +429,24 @@ class TestCheckpointDifferential:
                 list(machine.counters.pair_costs), pages)
             assert machine.alerts and machine.alerts[0].policy_id == "L1"
         assert finals["reference"] == finals["predecoded"]
+
+    def test_migration_blob_identical_across_engines(self):
+        """A mid-run blob carries no engine-internal state: its size
+        prices a migration in simulated cycles."""
+        from repro.resil.migrate import pack_worker
+
+        compiled = compiled_webserver(PERF_OPTIONS["byte"])
+        blobs = {}
+        for engine in ENGINES:
+            machine = build_machine(
+                compiled, policy_config=webserver_policy(),
+                files=dict(make_site((2,))), engine=engine,
+                machine_id="worker")
+            for _ in range(2):
+                machine.net.add_request(make_request(2))
+            machine.cpu.run_slice(30_000)
+            blobs[engine] = pack_worker(machine)
+        assert blobs["reference"] == blobs["predecoded"]
 
 
 class TestThreads:
