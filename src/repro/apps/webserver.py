@@ -8,8 +8,9 @@ the paper's ~1% server overhead.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Dict
+from typing import Dict, Tuple
 
 WEBSERVER_SOURCE = """
 native int accept();
@@ -324,13 +325,22 @@ FILE_SIZES_KB = (4, 8, 16, 512)
 
 
 def make_site(sizes_kb=FILE_SIZES_KB, seed: int = 7) -> Dict[str, bytes]:
-    """Document root with one file per requested size."""
+    """Document root with one file per requested size.
+
+    A fresh dict on every call (callers add files to it); the seeded
+    bodies behind it are generated once per ``(sizes, seed)``.
+    """
+    return dict(_site_files(tuple(sizes_kb), seed))
+
+
+@functools.lru_cache(maxsize=8)
+def _site_files(sizes_kb: Tuple[int, ...],
+                seed: int) -> Tuple[Tuple[str, bytes], ...]:
     rng = random.Random(seed)
-    files = {}
-    for kb in sizes_kb:
-        body = bytes(rng.randrange(32, 127) for _ in range(1024)) * kb
-        files[f"/www/file{kb}k.bin"] = body
-    return files
+    return tuple(
+        (f"/www/file{kb}k.bin",
+         bytes(rng.randrange(32, 127) for _ in range(1024)) * kb)
+        for kb in sizes_kb)
 
 
 def make_request(size_kb: int) -> bytes:

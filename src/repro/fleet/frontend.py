@@ -23,9 +23,16 @@ Routing policies
     (``submit(request, key=...)``) — the serving layer routes every
     request of one session by the same key, so keep-alive sessions
     stick to one worker.  Ejecting a worker only remaps the requests
-    that hashed to it.
+    that hashed to it.  The ring holds only *routable* workers' points
+    (a worker's replicas leave it the moment it drains, retires or is
+    ejected), so a lookup is one ``bisect`` plus a walk over live
+    workers, however many have come and gone.
 
-Worker lifecycle (used by the autoscaler in :mod:`repro.serve`):
+Worker lifecycle (used by the autoscaler in :mod:`repro.serve`).
+Drain, retire and eject are one-way: no worker ever becomes routable
+again, so the frontend keeps its live sets (:attr:`routable_ids`,
+:attr:`healthy_ids`) in step at these four methods alone, and every
+per-request cost depends on live workers only:
 
 * :meth:`add_worker` joins a new worker to the rotation mid-run (its
   ring replicas derive from the same seed, so placement is
@@ -44,9 +51,10 @@ autoscaler and the observability layer key off.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fleet.wire import TaggedMessage, WireFormatError
 from repro.resil.transient import RetryPolicy
@@ -146,31 +154,45 @@ class FleetFrontend:
         #: Retransmission requests issued after a bad/lost frame.
         self.retransmits = 0
         self._rr_next = 0
-        self._ring = self._build_ring(worker_ids, seed)
-
-    @staticmethod
-    def _build_ring(worker_ids: Sequence[str], seed: int):
-        ring = []
+        self._seed_key = str(seed).encode()
+        #: Live workers in join order — the only ones any per-request
+        #: or per-tick scan visits.  Read-only outside the lifecycle
+        #: methods.  ``order``/``slots`` keep every worker ever known.
+        self.routable_ids: List[str] = list(worker_ids)
+        #: Workers still in rotation, draining ones included.
+        self.healthy_ids: List[str] = list(worker_ids)
+        #: The consistent-hash ring over routable workers: sorted
+        #: ``(position, worker)`` points and their positions alone (the
+        #: ``bisect`` key).
+        self._ring: List[Tuple[int, str]] = []
+        self._ring_pos: List[int] = []
         for wid in worker_ids:
-            for replica in range(HASH_REPLICAS):
-                pos = _hash64(str(seed).encode(), wid.encode(),
-                              str(replica).encode())
-                ring.append((pos, wid))
-        ring.sort()
-        return ring
+            self._ring_add(wid)
+
+    def _ring_add(self, worker_id: str) -> None:
+        for replica in range(HASH_REPLICAS):
+            point = (_hash64(self._seed_key, worker_id.encode(),
+                             str(replica).encode()), worker_id)
+            i = bisect.bisect_left(self._ring, point)
+            self._ring.insert(i, point)
+            self._ring_pos.insert(i, point[0])
+
+    def _leave(self, worker_id: str) -> None:
+        """Drop a worker from the live sets its flags no longer allow."""
+        slot = self.slots[worker_id]
+        if not slot.routable and worker_id in self.routable_ids:
+            self.routable_ids.remove(worker_id)
+            self._ring = [p for p in self._ring if p[1] != worker_id]
+            self._ring_pos = [pos for pos, _wid in self._ring]
+        if not slot.healthy and worker_id in self.healthy_ids:
+            self.healthy_ids.remove(worker_id)
 
     # -- candidate ordering ---------------------------------------------
-
-    def _healthy(self) -> List[str]:
-        return [wid for wid in self.order if self.slots[wid].healthy]
-
-    def _routable(self) -> List[str]:
-        return [wid for wid in self.order if self.slots[wid].routable]
 
     def _candidates(self, request: Request,
                     key: Optional[bytes] = None) -> List[str]:
         """Worker ids in routing-preference order for one request."""
-        routable = self._routable()
+        routable = self.routable_ids
         if not routable:
             return []
         if self.policy == "round_robin":
@@ -178,24 +200,22 @@ class FleetFrontend:
             self._rr_next += 1
             return routable[start:] + routable[:start]
         if self.policy == "least_loaded":
-            return sorted(
-                routable,
-                key=lambda wid: (len(self.slots[wid].queue),
-                                 self.slots[wid].queued_bytes,
-                                 self.order.index(wid)))
+            slots = self.slots
+            ranked = sorted(
+                (len(slots[wid].queue), slots[wid].queued_bytes, i, wid)
+                for i, wid in enumerate(routable))
+            return [wid for *_rank, wid in ranked]
         # Consistent hash: walk the ring clockwise from the key's
-        # position, skipping unroutable/duplicate workers.
-        point = _hash64(str(self.seed).encode(),
+        # position; every point belongs to a routable worker, so only
+        # repeats are skipped.
+        point = _hash64(self._seed_key,
                         key if key is not None else _payload_of(request))
+        ring = self._ring
+        start = bisect.bisect_left(self._ring_pos, point)
         ordered: List[str] = []
-        start = 0
-        for i, (pos, _wid) in enumerate(self._ring):
-            if pos >= point:
-                start = i
-                break
-        for i in range(len(self._ring)):
-            wid = self._ring[(start + i) % len(self._ring)][1]
-            if wid not in ordered and self.slots[wid].routable:
+        for i in range(len(ring)):
+            wid = ring[(start + i) % len(ring)][1]
+            if wid not in ordered:
                 ordered.append(wid)
                 if len(ordered) == len(routable):
                     break
@@ -300,16 +320,15 @@ class FleetFrontend:
             capacity=self.queue_capacity if capacity is None else capacity)
         self.slots[worker_id] = slot
         self.order.append(worker_id)
-        for replica in range(HASH_REPLICAS):
-            pos = _hash64(str(self.seed).encode(), worker_id.encode(),
-                          str(replica).encode())
-            self._ring.append((pos, worker_id))
-        self._ring.sort()
+        self.routable_ids.append(worker_id)
+        self.healthy_ids.append(worker_id)
+        self._ring_add(worker_id)
         return slot
 
     def drain(self, worker_id: str) -> None:
         """Stop routing to a worker; it serves out its queue (scale-down)."""
         self.slots[worker_id].draining = True
+        self._leave(worker_id)
 
     def retire(self, worker_id: str) -> None:
         """Remove a drained worker whose queue has emptied."""
@@ -321,6 +340,7 @@ class FleetFrontend:
         slot.healthy = False
         slot.draining = False
         slot.ejected_reason = "retired"
+        self._leave(worker_id)
 
     def eject(self, worker_id: str, reason: str = "") -> List[Request]:
         """Remove a worker from rotation; hand back its queued requests."""
@@ -328,6 +348,7 @@ class FleetFrontend:
         slot.healthy = False
         slot.draining = False
         slot.ejected_reason = reason or "ejected"
+        self._leave(worker_id)
         orphans = list(slot.queue)
         slot.queue.clear()
         return orphans
@@ -356,15 +377,14 @@ class FleetFrontend:
     @property
     def total_queued(self) -> int:
         """Requests waiting across every healthy worker queue."""
-        return sum(len(slot.queue) for slot in self.slots.values()
-                   if slot.healthy)
+        return sum(len(self.slots[wid].queue) for wid in self.healthy_ids)
 
     @property
     def healthy_count(self) -> int:
         """Workers still in rotation (draining workers included)."""
-        return len(self._healthy())
+        return len(self.healthy_ids)
 
     @property
     def routable_count(self) -> int:
         """Workers accepting new requests (healthy and not draining)."""
-        return len(self._routable())
+        return len(self.routable_ids)

@@ -23,7 +23,7 @@ servebench gate on a bit-identical rerun digest with autoscaling on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 __all__ = ["Autoscaler", "AutoscalerConfig"]
 
@@ -64,8 +64,6 @@ class Autoscaler:
         self.smoothed = 0.0
         self.ticks = 0
         self._cooldown = 0
-        #: (time, smoothed depth, routable workers, action) per tick.
-        self.decisions: List[dict] = []
 
     def observe(self, now: float, queued: int,
                 routable: int) -> Optional[str]:
@@ -86,11 +84,4 @@ class Autoscaler:
                 and routable > config.min_workers):
             action = "drain"
             self._cooldown = config.cooldown_ticks
-        self.decisions.append({
-            "time": now,
-            "queued": queued,
-            "routable": routable,
-            "smoothed": round(self.smoothed, 4),
-            "action": action,
-        })
         return action

@@ -27,7 +27,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chaos.journal import RequestJournal
 from repro.chaos.replica import RecoveryPolicy, Replica, ReplicaStore
@@ -436,10 +436,17 @@ class ServeResult:
 
     # -- reproducibility -------------------------------------------------
 
-    def digest(self) -> str:
-        """Deterministic fingerprint of the run's observable outcome."""
-        canonical = {
-            "records": [r.to_dict() for r in self.records],
+    def _canonical_json(self) -> Iterator[str]:
+        """The canonical outcome's JSON text, one record at a time.
+
+        Joined, the chunks are exactly ``json.dumps(canonical,
+        sort_keys=True)`` of the dict :meth:`digest` documents, but no
+        chunk holds more than one record, so neither the record dicts
+        nor the whole text ever exist at once.
+        """
+        encode = json.JSONEncoder(sort_keys=True).encode
+        fields = {
+            "records": None,  # streamed below
             "scale_events": self.scale_events,
             "dropped": self.dropped,
             "rerouted": self.rerouted,
@@ -449,8 +456,32 @@ class ServeResult:
             "chaos_events": self.chaos_events,
             "recoveries": self.recoveries,
         }
-        blob = json.dumps(canonical, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        sep = "{"
+        for name in sorted(fields):
+            yield f"{sep}{encode(name)}: "
+            sep = ", "
+            if name != "records":
+                yield encode(fields[name])
+                continue
+            yield "["
+            for i, record in enumerate(self.records):
+                yield (", " if i else "") + encode(record.to_dict())
+            yield "]"
+        yield "}"
+
+    def digest(self) -> str:
+        """Deterministic fingerprint of the run's observable outcome.
+
+        sha256 over ``json.dumps`` (keys sorted) of ``records`` (each
+        :meth:`RequestRecord.to_dict`), ``scale_events``, ``dropped``,
+        ``rerouted``, ``migrated``, ``shed``, ``replayed``,
+        ``chaos_events`` and ``recoveries`` — fed to the hash in
+        per-record chunks.
+        """
+        sha = hashlib.sha256()
+        for chunk in self._canonical_json():
+            sha.update(chunk.encode())
+        return sha.hexdigest()
 
     def outcome_digest(self) -> str:
         """Fingerprint of *what was served*, not when or by whom.
@@ -710,6 +741,9 @@ class ServeSim:
                              replica_store=store if protected else None)
         records: Dict[int, RequestRecord] = {}
         open_requests = 0
+        #: Workers with a request executing (``_SimWorker.busy``),
+        #: zombies included; kept at the three places ``busy`` flips.
+        in_flight = 0
         next_worker = self.initial_workers
         #: Workers waiting to migrate at their next request boundary.
         migrating: set = set()
@@ -726,6 +760,7 @@ class ServeSim:
                 clock.schedule(event.time, "chaos", event)
 
         def dispatch(wid: str) -> None:
+            nonlocal in_flight
             worker = workers[wid]
             slot = frontend.slots[wid]
             if (worker.busy or not slot.queue or worker.ejected
@@ -741,6 +776,7 @@ class ServeSim:
             record.service = cost.cycles
             worker.busy = True
             worker.inflight = request
+            in_flight += 1
             journal.assign(request.index, wid)
             clock.schedule(clock.now + cost.cycles, "complete",
                            (wid, request, cost, worker.incarnation))
@@ -787,12 +823,8 @@ class ServeSim:
                     # Migrated requests are already admitted work — pick
                     # the least-loaded routable survivor, bypassing the
                     # admission capacity check.
-                    candidates = [
-                        s for s in frontend.order
-                        if frontend.slots[s].routable
-                        and not workers[s].ejected
-                        and not workers[s].crashed
-                    ]
+                    candidates = [s for s in frontend.routable_ids
+                                  if not workers[s].crashed]
                     if not candidates:
                         record.outcome = "dropped"
                         result.dropped += 1
@@ -893,7 +925,7 @@ class ServeSim:
 
         def on_complete(wid: str, request: ServeRequest,
                         cost: ServiceCost, incarnation: int) -> None:
-            nonlocal open_requests
+            nonlocal open_requests, in_flight
             worker = workers[wid]
             if incarnation != worker.incarnation:
                 # A completion from a crashed incarnation: the work
@@ -908,6 +940,7 @@ class ServeSim:
                 return
             worker.busy = False
             worker.inflight = None
+            in_flight -= 1
             worker.busy_cycles += cost.cycles
             ack_delay = deliver_response(wid, request, cost)
             if ack_delay is None:
@@ -983,7 +1016,7 @@ class ServeSim:
             result.depth_series.append({
                 "time": clock.now,
                 "queued": queued,
-                "in_flight": sum(1 for w in workers.values() if w.busy),
+                "in_flight": in_flight,
                 "routable_workers": routable,
                 "smoothed": round(autoscaler.smoothed, 4),
             })
@@ -1052,7 +1085,7 @@ class ServeSim:
 
         def on_detect(wid: str, cause: str, failed_at: float) -> None:
             """The failure detector's verdict: eject, replace, replay."""
-            nonlocal next_worker
+            nonlocal next_worker, in_flight
             worker = workers[wid]
             if worker.ejected or worker.retired_at is not None:
                 return
@@ -1069,6 +1102,7 @@ class ServeSim:
                 if worker.crashed:
                     worker.inflight = None
                     worker.busy = False
+                    in_flight -= 1
             scale_event("eject", wid,
                         autoscaler.smoothed if autoscaler else 0.0)
             # Spawn the replacement: boot a twin, rehydrate it from the
@@ -1148,8 +1182,7 @@ class ServeSim:
     def _drain_victim(frontend: FleetFrontend,
                       workers: Dict[str, _SimWorker]) -> Optional[str]:
         """Newest routable worker — scale-down unwinds LIFO."""
-        for wid in reversed(frontend.order):
-            if (frontend.slots[wid].routable and not workers[wid].ejected
-                    and not workers[wid].crashed):
+        for wid in reversed(frontend.routable_ids):
+            if not workers[wid].crashed:
                 return wid
         return None

@@ -1,6 +1,7 @@
 """Fleet subsystem: routing, backpressure, drivers, and the two tiers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.webserver import make_request, traversal_request
 from repro.fleet import (
@@ -12,6 +13,7 @@ from repro.fleet import (
     render_incidents,
     two_tier_experiment,
 )
+from repro.fleet.frontend import HASH_REPLICAS, _hash64, _payload_of
 from repro.harness.runners import build_web_machine
 from repro.runtime.devices import SimNetwork
 
@@ -155,6 +157,174 @@ class TestFrontendLifecycle:
         assert flat["frontend.queued"] == 2
         assert flat["frontend.depth.a"] == 1
         assert flat["frontend.workers_routable"] == 2
+
+
+class LinearRingOracle:
+    """Reference router with no live-set bookkeeping: every worker ever
+    added keeps its ring points, routable workers are found by scanning
+    ``order``, and a lookup scans the ring linearly from the start.  It
+    reads the frontend's slots (lifecycle flags and queues) and keeps
+    its own ring, round-robin cursor and counters."""
+
+    def __init__(self, frontend):
+        self.fe = frontend
+        self.ring = []
+        self.rr_next = 0
+        self.spilled = self.dropped = self.rejected = 0
+        for wid in frontend.order:
+            self.place(wid)
+
+    def place(self, wid):
+        for replica in range(HASH_REPLICAS):
+            pos = _hash64(str(self.fe.seed).encode(), wid.encode(),
+                          str(replica).encode())
+            self.ring.append((pos, wid))
+        self.ring.sort()
+
+    def routable(self):
+        return [w for w in self.fe.order if self.fe.slots[w].routable]
+
+    def total_queued(self):
+        return sum(len(s.queue) for s in self.fe.slots.values()
+                   if s.healthy)
+
+    def candidates(self, request, key=None):
+        fe = self.fe
+        routable = self.routable()
+        if not routable:
+            return []
+        if fe.policy == "round_robin":
+            start = self.rr_next % len(routable)
+            self.rr_next += 1
+            return routable[start:] + routable[:start]
+        if fe.policy == "least_loaded":
+            return sorted(
+                routable,
+                key=lambda wid: (len(fe.slots[wid].queue),
+                                 fe.slots[wid].queued_bytes,
+                                 fe.order.index(wid)))
+        point = _hash64(str(fe.seed).encode(),
+                        key if key is not None else _payload_of(request))
+        ordered = []
+        start = 0
+        for i, (pos, _wid) in enumerate(self.ring):
+            if pos >= point:
+                start = i
+                break
+        for i in range(len(self.ring)):
+            wid = self.ring[(start + i) % len(self.ring)][1]
+            if wid not in ordered and fe.slots[wid].routable:
+                ordered.append(wid)
+                if len(ordered) == len(routable):
+                    break
+        return ordered
+
+    def submit(self, request, key=None):
+        """Where ``request`` should land; call before the real submit."""
+        fe = self.fe
+        if (fe.shed_limit is not None
+                and self.total_queued() >= fe.shed_limit):
+            self.rejected += 1
+            return None
+        for rank, wid in enumerate(self.candidates(request, key)):
+            if fe.slots[wid].has_room:
+                self.spilled += rank > 0
+                return wid
+        self.dropped += 1
+        return None
+
+
+#: One step of a routing run: (operation, worker pick, payload/key byte).
+ROUTING_OPS = st.lists(
+    st.tuples(st.sampled_from(["submit", "submit", "submit", "keyed",
+                               "route", "serve", "add", "drain",
+                               "retire", "eject"]),
+              st.integers(0, 63), st.integers(0, 255)),
+    max_size=120)
+
+
+class TestRoutingDifferential:
+    """The pruned ring routes exactly like the linear full-ring walk."""
+
+    @staticmethod
+    def check_live_state(fe, oracle):
+        assert len(fe._ring) == HASH_REPLICAS * fe.routable_count
+        assert fe.routable_ids == oracle.routable()
+        assert fe.healthy_ids == [w for w in fe.order
+                                  if fe.slots[w].healthy]
+        assert fe.total_queued == oracle.total_queued()
+        assert (fe.spilled, fe.dropped, fe.rejected) == (
+            oracle.spilled, oracle.dropped, oracle.rejected)
+
+    def step(self, fe, oracle, op, pick, byte):
+        wid = fe.order[pick % len(fe.order)]
+        payload = bytes([byte]) * (1 + pick % 5)
+        if op in ("submit", "keyed"):
+            key = f"session-{byte % 9}".encode() if op == "keyed" else None
+            expected = oracle.submit(payload, key)
+            assert fe.submit(payload, key=key) == expected
+        elif op == "route":
+            assert fe._candidates(payload) == oracle.candidates(payload)
+        elif op == "serve":
+            if fe.slots[wid].queue:
+                fe.slots[wid].queue.pop(0)
+        elif op == "add":
+            new = f"n{len(fe.order)}"
+            fe.add_worker(new, capacity=(None if byte % 4 == 0
+                                         else 1 + byte % 3))
+            oracle.place(new)
+        elif op == "drain":
+            fe.drain(wid)
+        elif op == "retire":
+            if fe.slots[wid].queue:
+                with pytest.raises(ValueError):
+                    fe.retire(wid)
+            else:
+                fe.retire(wid)
+        else:
+            fe.eject(wid, "test")
+
+    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded",
+                                        "hash"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 5), workers=st.integers(1, 4),
+           capacity=st.sampled_from([None, 1, 2, 4]),
+           shed_limit=st.sampled_from([None, 3, 8]), ops=ROUTING_OPS)
+    def test_matches_linear_ring_oracle(self, policy, seed, workers,
+                                        capacity, shed_limit, ops):
+        fe = FleetFrontend([f"w{i}" for i in range(workers)],
+                           policy=policy, seed=seed,
+                           queue_capacity=capacity, shed_limit=shed_limit)
+        oracle = LinearRingOracle(fe)
+        for op, pick, byte in ops:
+            self.step(fe, oracle, op, pick, byte)
+            self.check_live_state(fe, oracle)
+
+    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded",
+                                        "hash"])
+    def test_ring_tracks_routable_workers_over_scale_cycles(self, policy):
+        # The autoscaler's pattern: spawn, take traffic, drain, serve
+        # out, retire — 150 times over, with a stable pair alongside.
+        fe = FleetFrontend(["w0", "w1"], policy=policy, seed=3,
+                           queue_capacity=2)
+        oracle = LinearRingOracle(fe)
+        for cycle in range(150):
+            wid = f"s{cycle}"
+            fe.add_worker(wid)
+            oracle.place(wid)
+            for i in range(4):
+                payload = f"c{cycle}-{i}".encode()
+                expected = oracle.submit(payload)
+                assert fe.submit(payload) == expected
+            self.check_live_state(fe, oracle)
+            fe.drain(wid)
+            for slot in fe.slots.values():
+                slot.queue.clear()
+            fe.retire(wid)
+            self.check_live_state(fe, oracle)
+        assert fe.routable_count == 2
+        assert len(fe._ring) == 2 * HASH_REPLICAS
+        assert len(fe.order) == 152  # history is kept for observers
 
 
 class TestMidstreamEjection:

@@ -328,6 +328,88 @@ class TestServeSim:
         assert report["quarantined"] == result.quarantined
 
 
+def canonical_digest(result):
+    """``ServeResult.digest()`` as one whole-document ``json.dumps``."""
+    import hashlib
+    import json
+
+    canonical = {
+        "records": [r.to_dict() for r in result.records],
+        "scale_events": result.scale_events,
+        "dropped": result.dropped,
+        "rerouted": result.rerouted,
+        "migrated": result.migrated,
+        "shed": result.shed,
+        "replayed": result.replayed,
+        "chaos_events": result.chaos_events,
+        "recoveries": result.recoveries,
+    }
+    blob = json.dumps(canonical, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestStreamedDigest:
+    """The per-record streamed digest hashes the same bytes."""
+
+    def test_autoscaler_churn(self):
+        config = LoadConfig(seed=3, phases=[
+            LoadPhase(300_000.0, 60.0), LoadPhase(300_000.0, 1.0)] * 60)
+        auto = AutoscalerConfig(min_workers=1, max_workers=6,
+                                interval=10_000.0, cooldown_ticks=1)
+        result = ServeSim(workers=1, seed=0,
+                          service_model=StubModel(cycles=60_000.0,
+                                                  boot=20_000.0),
+                          autoscaler=auto).run(generate(config))
+        ups = sum(1 for e in result.scale_events
+                  if e["action"] == "scale_up")
+        assert ups >= 100
+        assert result.frontend.routable_count >= 1
+        assert result.digest() == canonical_digest(result)
+
+    def test_chaos_run_with_recoveries(self):
+        from repro.chaos import ChaosEvent, ChaosSchedule, RecoveryPolicy
+        from repro.serve import ServeRequest
+
+        chaos = ChaosSchedule([
+            ChaosEvent(time=120.0, kind="crash", worker="w0"),
+            ChaosEvent(time=260.0, kind="stall", worker="w1",
+                       duration=500.0),
+        ], seed=5, corrupt_rate=0.2, drop_rate=0.1)
+        workload = [ServeRequest(index=i, session=i, arrival=i * 50.0,
+                                 payload=b"GET /x") for i in range(12)]
+        result = ServeSim(
+            workers=2, seed=3, routing="round_robin",
+            service_model=StubModel(), chaos=chaos,
+            recovery=RecoveryPolicy(
+                heartbeat_interval=10.0, miss_threshold=3,
+                replicate_every=2, replication_cycles=4.0,
+                rehydrate_cycles=8.0),
+            migration_cycles=8.0).run(workload)
+        assert len(result.recoveries) == 2
+        assert result.chaos_events
+        assert result.digest() == canonical_digest(result)
+
+    def test_migrate_on_drain(self):
+        # Both workers deep in queue when the controller, draining at
+        # every eligible tick, packs the newer one.
+        config = LoadConfig(seed=11, phases=[LoadPhase(20_000.0, 20_000.0)])
+        auto = AutoscalerConfig(min_workers=1, max_workers=2,
+                                high_water=1000.0, low_water=999.0,
+                                interval=2_000.0, cooldown_ticks=0)
+        result = ServeSim(workers=2, seed=3,
+                          service_model=StubModel(cycles=20_000.0),
+                          autoscaler=auto, migrate_on_drain=True,
+                          migration_cycles=5_000.0).run(generate(config))
+        assert any(e["action"] == "migrate" for e in result.scale_events)
+        assert result.migrated > 0
+        assert result.digest() == canonical_digest(result)
+
+    def test_empty_run(self):
+        result = ServeSim(workers=1, seed=0,
+                          service_model=StubModel()).run([])
+        assert result.digest() == canonical_digest(result)
+
+
 class TestServiceModelReal:
     def test_budgets_are_measured_and_cached(self):
         model = ServiceModel(FleetConfig())

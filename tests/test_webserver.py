@@ -1,8 +1,15 @@
 """Web-server app tests (the Figure 6 workload)."""
 
+import hashlib
+
 import pytest
 
-from repro.apps.webserver import WEBSERVER_SOURCE, make_request, make_site
+from repro.apps.webserver import (
+    FILE_SIZES_KB,
+    WEBSERVER_SOURCE,
+    make_request,
+    make_site,
+)
 from repro.core.shift import build_machine
 from repro.harness.runners import (
     PERF_OPTIONS,
@@ -98,3 +105,34 @@ class TestOverheadShape:
     def test_io_dominates(self):
         run = run_webserver(PERF_OPTIONS["none"], 16, requests=4)
         assert run.io_cycles > 0.8 * run.total_cycles
+
+
+def site_sha(site):
+    h = hashlib.sha256()
+    for path in sorted(site):
+        h.update(path.encode() + b"\0" + site[path])
+    return h.hexdigest()
+
+
+class TestMakeSite:
+    #: The open-loop serving benchmark's twelve file sizes (KB).
+    SERVE_SIZES_KB = (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 32)
+
+    def test_calls_return_equal_but_distinct_dicts(self):
+        first = make_site((4, 8))
+        second = make_site((4, 8))
+        assert first == second
+        assert first is not second
+        first["/etc/secret"] = b"planted"
+        first["/www/file4k.bin"] = b"clobbered"
+        assert make_site((4, 8)) == second
+        assert "/etc/secret" not in make_site((4, 8))
+
+    def test_sizes_may_be_any_sequence(self):
+        assert make_site([4, 8]) == make_site((4, 8))
+
+    def test_bytes_are_pinned(self):
+        assert site_sha(make_site(FILE_SIZES_KB)) == (
+            "5650a0e6f7be4263830e33ed2f23c81f8ba9d0591eb1767e1cc663e37f84604f")
+        assert site_sha(make_site(self.SERVE_SIZES_KB)) == (
+            "3e08a3e1fe33e13391a38b60936fc0e73ea2442f2487f251d74ff4ba42a30b0c")
