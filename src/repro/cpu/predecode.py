@@ -32,12 +32,17 @@ the hot loop carries no per-step flag loads.  A block that raises sets
 
 Equivalence rules (enforced by tests/test_engine_differential.py):
 
-* Issue-group state (``_group_writes``, ``_group_pr_writes``,
-  ``_group_mem``, ``_group_slots``) and the instruction count live in
-  block locals, and the group close is inlined; together they are a
-  literal replica of ``IssueModel.issue`` specialized per instruction.
-  Every exit writes them back to the shared ``IssueModel`` — the fault
-  path with the partial count — and a ``break`` writes them back before
+* Issue accounting replicates ``IssueModel.issue`` exactly.  Up to a
+  block's sync point (the first member that closes the group whatever
+  the incoming group held) it runs at run time on block locals
+  (``_group_writes``, ``_group_pr_writes``, ``_group_mem``,
+  ``_group_slots``) with the group close inlined.  After it, groups
+  are render-time facts: closes, shares (as literals, chained per
+  bucket in reference order) and slot/load/store counts are batched
+  and flushed before every member that can raise and at every exit.
+  Every exit hands the open group and the instruction count to the
+  shared ``IssueModel`` — the fault path with the partial count and the
+  group open at the faulting member — and a ``break`` does so before
   its handler runs, so reference-path execution (``CPU._execute``
   fallbacks, the reference engine's ``step()``), checkpoints taken
   inside handlers and the thread scheduler all see exact state.
@@ -87,8 +92,11 @@ _M = hex(MASK64)
 MAX_BLOCK = 24
 
 #: Generated-source -> compiled code object.  Process-wide: identical
-#: block shapes across machines share one compilation.
+#: block shapes across machines share one compilation.  Bounded by
+#: ``FACTORY_CACHE_MAX``, evicting oldest-first; an evicted source just
+#: compiles again.
 _FACTORY_CACHE: dict = {}
+FACTORY_CACHE_MAX = 16384
 
 #: Shared objects every generated factory receives (becoming closure
 #: variables of the block).  ``fns`` is per-block: the reference ALU
@@ -356,42 +364,198 @@ def _resolve(program, label) -> Optional[int]:
 # ``IssueModel`` state is reloaded at entry and written back at every
 # exit (including the fault path), so blocks interleave freely with each
 # other, reference steps and the thread scheduler.
+#
+# Those locals are only needed up to the block's *sync point*: the
+# first member at which every possible state of the incoming group
+# closes (see :class:`_Schedule`).  From there on the schedule is a
+# render-time fact, so later members emit no accounting of their own:
+# the renderer batches their slots, loads/stores and closed groups
+# (shares as literals) into flushes placed before every member that can
+# raise and at every exit, and exits publish the still-open group as
+# literals.
 
 _PLAIN_KINDS = frozenset((OpKind.ALU, OpKind.CMP, OpKind.LOAD, OpKind.STORE,
                           OpKind.MOVBR, OpKind.MOVAR, OpKind.NOP))
 
+#: Inline replica of ``IssueModel._close_group`` on the shared ``group``.
+_CLOSE = [
+    "counters.groups += 1",
+    "counters.issue_cycles += 1.0",
+    "share = 1.0 / len(group)",
+    "for c_ in group:",
+    "    c_.issue_cycles += share",
+    "group.clear()",
+]
+
 
 def _close_local() -> List[str]:
-    """Inline replica of ``IssueModel._close_group`` on block locals.
+    """``_CLOSE`` plus the block-local mask reset, if the group is open.
 
     Resetting the masks only when the group is non-empty matches the
     reference: an empty group always has zero masks (the invariant holds
     because masks are only set right after an append).
     """
-    return [
-        "if group:",
-        "    counters.groups += 1",
-        "    counters.issue_cycles += 1.0",
-        "    share = 1.0 / len(group)",
-        "    for c_ in group:",
-        "        c_.issue_cycles += share",
-        "    group.clear()",
-        "    gw = 0",
-        "    pw = 0",
-        "    mm = 0",
-        "    sl = 0",
-    ]
+    return ["if group:"] + _indent(_CLOSE + ["gw = 0", "pw = 0", "mm = 0",
+                                            "sl = 0"])
+
+
+_LOAD_LOCALS = ["gw = im._group_writes", "pw = im._group_pr_writes",
+                "mm = im._group_mem", "sl = im._group_slots"]
+_STORE_LOCALS = ["im._group_writes = gw", "im._group_pr_writes = pw",
+                 "im._group_mem = mm", "im._group_slots = sl"]
 
 
 def _writeback(total) -> List[str]:
     """Flush block-local issue state back to the shared model."""
-    return [
-        "im._group_writes = gw",
-        "im._group_pr_writes = pw",
-        "im._group_mem = mm",
-        "im._group_slots = sl",
-        f"counters.instructions = ci + {total}",
-    ]
+    return _STORE_LOCALS + [f"counters.instructions = ci + {total}"]
+
+
+def _closes(cfg, meta, gw, pw, mm, sl) -> bool:
+    """``IssueModel.issue``'s close rule on render-time group state."""
+    reads, writes, _, is_mem, _, is_branch, slots = meta
+    conflict = gw & (reads | writes)
+    if (conflict and is_branch and cfg.cmp_branch_same_group
+            and not conflict & ~pw):
+        conflict = 0
+    return bool(conflict or sl + slots > cfg.width
+                or (is_mem and mm >= cfg.mem_ports))
+
+
+def _joined(meta, gw=0, pw=0, mm=0, sl=0) -> tuple:
+    """Group state ``(gw, pw, mm, sl)`` after a member with ``meta``."""
+    _, writes, prw, is_mem, _, _, slots = meta
+    return gw | writes, pw | prw, mm + (1 if is_mem else 0), sl + slots
+
+
+class _Schedule:
+    """Render-time issue-group schedule along one path through a block.
+
+    Until the sync point the incoming group is unknown, so members keep
+    run-time accounting and ``starts`` tracks every possible start of
+    the open group: ``None`` (the incoming group is still open; its
+    state holds only the block's own members) or the offset of a member
+    where a run-time close may have happened.  Extra incoming members
+    can only add conflicts, so a close the known part forces is certain.
+    The first member at which every possibility closes is the sync
+    point (``starts`` becomes None): it closes at run time
+    unconditionally and opens a group whose members, size and
+    boundaries are all known here.  From then on the renderer keeps
+    ``group`` (the open group's bucket cells), its ``state`` and the
+    accounting still to be emitted, which :meth:`flush` and
+    :meth:`publish` turn into literal lines.
+    """
+
+    def __init__(self, cfg) -> None:
+        self.cfg = cfg
+        self.starts: Optional[dict] = {None: (0, 0, 0, 0)}
+        self.group: List[str] = []
+        self.state = (0, 0, 0, 0)
+        #: cell -> [pending slot count, pending share literals in order]
+        self.pending: dict = {}
+        self.groups = self.loads = self.stores = 0
+
+    @property
+    def synced(self) -> bool:
+        return self.starts is None
+
+    def copy(self) -> "_Schedule":
+        other = _Schedule.__new__(_Schedule)
+        other.__dict__.update(self.__dict__)
+        other.starts = None if self.starts is None else dict(self.starts)
+        other.group = list(self.group)
+        other.pending = {c: [n, list(s)] for c, (n, s)
+                         in self.pending.items()}
+        return other
+
+    def advance(self, meta, j: int) -> bool:
+        """Step the possible starts over member ``j``; True if it syncs."""
+        nxt: dict = {}
+        for start, state in self.starts.items():
+            if _closes(self.cfg, meta, *state):
+                nxt[j] = _joined(meta)
+            else:
+                nxt[start] = _joined(meta, *state)
+                if start is None:
+                    nxt[j] = _joined(meta)  # the incoming group may close
+        if list(nxt) != [j]:
+            self.starts = nxt
+            return False
+        self.starts = None
+        return True
+
+    def issue(self, meta, cell: str) -> None:
+        """Account one member statically (at or after the sync point)."""
+        if self.group and _closes(self.cfg, meta, *self.state):
+            self.close()
+        self.group.append(cell)
+        self.state = _joined(meta, *self.state)
+        self.pending.setdefault(cell, [0, []])[0] += 1
+        if meta[4] == 1:
+            self.loads += 1
+        elif meta[4] == 2:
+            self.stores += 1
+
+    def close_lines(self) -> List[str]:
+        """Close the open group: statically once synced, else at run time."""
+        if not self.synced:
+            return _close_local()
+        self.close()
+        return []
+
+    def close(self) -> None:
+        share = repr(1.0 / len(self.group))
+        for cell in self.group:
+            self.pending.setdefault(cell, [0, []])[1].append(share)
+        self.groups += 1
+        self.group = []
+        self.state = (0, 0, 0, 0)
+
+    def flush(self) -> List[str]:
+        """Emit and clear the pending accounting.
+
+        Each bucket's shares become one chained add, so its float
+        additions happen in exactly the reference order; every other
+        batched add is integral and therefore exact.
+        """
+        out = []
+        if self.groups:
+            out += [f"counters.groups += {self.groups}",
+                    f"counters.issue_cycles += {float(self.groups)!r}"]
+        if self.loads:
+            out.append(f"counters.loads += {self.loads}")
+        if self.stores:
+            out.append(f"counters.stores += {self.stores}")
+        for cell, (slots, shares) in self.pending.items():
+            if slots:
+                out.append(f"{cell}.slots += {slots}")
+            if shares:
+                out.append(f"{cell}.issue_cycles = "
+                           + " + ".join([f"{cell}.issue_cycles"] + shares))
+        self.pending = {}
+        self.groups = self.loads = self.stores = 0
+        return out
+
+    def publish(self) -> List[str]:
+        """Hand the open group to the shared ``IssueModel`` as literals."""
+        group = self.group
+        if len(group) == 1:
+            out = [f"group.append({group[0]})"]
+        elif group:
+            out = [f"group.extend(({', '.join(group)}))"]
+        else:
+            out = []
+        gw, pw, mm, sl = self.state
+        return out + [f"im._group_writes = {hex(gw)}",
+                      f"im._group_pr_writes = {hex(pw)}",
+                      f"im._group_mem = {mm}",
+                      f"im._group_slots = {sl}"]
+
+    def exit(self, total: int) -> List[str]:
+        """Lines that publish the path's state at a block exit."""
+        if not self.synced:
+            return _writeback(total)
+        return (self.flush() + self.publish()
+                + [f"counters.instructions = ci + {total}"])
 
 
 def _build_block(cpu: CPU, start: int, max_len: int):
@@ -410,7 +574,9 @@ def _build_block(cpu: CPU, start: int, max_len: int):
     cells: List[str] = []
     key_local: dict = {}
     fns: list = []
-    faultable = False
+    #: (offset, fault-path publish lines) of members that can raise;
+    #: None where the block-local state is still the run-time one.
+    raisers: list = []
 
     def use_key(key):
         cname = key_local.get(key)
@@ -430,35 +596,46 @@ def _build_block(cpu: CPU, start: int, max_len: int):
             f"    {kname} = {cname}",
         ]
 
-    def acct_local(instr, taken=False, stall=False):
-        reads, writes, prw, is_mem, memkind, is_branch, slots = _meta(instr)
+    def account(instr, sched, j, stall=False, taken=False):
+        """Issue accounting of member ``j`` on the path ``sched`` renders."""
+        meta = _meta(instr)
+        reads, writes, prw, is_mem, memkind, is_branch, slots = meta
         cname, res = use_key((instr.role, instr.origin))
-        rw = reads | writes
-        conds = []
-        if rw:
-            if is_branch and cfg.cmp_branch_same_group:
-                # A branch conflicting only on predicate writes may issue
-                # in the same group as the compare that produced them.
-                conds.append(f"gw & {hex(rw)} & ~pw")
-            else:
-                conds.append(f"gw & {hex(rw)}")
-        conds.append(f"sl + {slots} > {cfg.width}")
-        if is_mem:
-            conds.append(f"mm >= {cfg.mem_ports}")
-        out = ["if " + " or ".join(conds) + ":"] + _indent(_close_local())
-        out += res
-        out += [f"group.append({cname})", f"sl += {slots}"]
-        if writes:
-            out.append(f"gw |= {hex(writes)}")
-        if prw:
-            out.append(f"pw |= {hex(prw)}")
-        if is_mem:
-            out.append("mm += 1")
-        out.append(f"{cname}.slots += 1")
-        if memkind == 1:
-            out.append("counters.loads += 1")
-        elif memkind == 2:
-            out.append("counters.stores += 1")
+        if sched.synced:
+            out = res
+            sched.issue(meta, cname)
+        elif sched.advance(meta, j):
+            # Past member 0 the group holds at least the member before.
+            out = (_CLOSE if j else ["if group:"] + _indent(_CLOSE)) + res
+            sched.issue(meta, cname)
+        else:
+            rw = reads | writes
+            conds = []
+            if rw:
+                if is_branch and cfg.cmp_branch_same_group:
+                    # A branch conflicting only on predicate writes may
+                    # issue in the same group as the compare that
+                    # produced them.
+                    conds.append(f"gw & {hex(rw)} & ~pw")
+                else:
+                    conds.append(f"gw & {hex(rw)}")
+            conds.append(f"sl + {slots} > {cfg.width}")
+            if is_mem:
+                conds.append(f"mm >= {cfg.mem_ports}")
+            out = ["if " + " or ".join(conds) + ":"] + _indent(_close_local())
+            out += res
+            out += [f"group.append({cname})", f"sl += {slots}"]
+            if writes:
+                out.append(f"gw |= {hex(writes)}")
+            if prw:
+                out.append(f"pw |= {hex(prw)}")
+            if is_mem:
+                out.append("mm += 1")
+            out.append(f"{cname}.slots += 1")
+            if memkind == 1:
+                out.append("counters.loads += 1")
+            elif memkind == 2:
+                out.append("counters.stores += 1")
         if stall:
             out += ["if stall:",
                     "    counters.stall_cycles += stall",
@@ -467,16 +644,16 @@ def _build_block(cpu: CPU, start: int, max_len: int):
             out += ["counters.branches_taken += 1",
                     f"counters.branch_penalty_cycles += "
                     f"{cfg.branch_penalty!r}"]
-            out += _close_local()
+            out += sched.close_lines()
         return out
 
     def plain_fragment(instr, j):
-        nonlocal faultable
+        """``(semantics, stall, raises)`` of a plain member, or None."""
         op = instr.op
         kind = OP_KIND[op]
         qp = instr.qp
         sem = None
-        stall = False
+        stall = raises = False
         if kind is OpKind.ALU:
             if not instr.outs:
                 return None
@@ -556,7 +733,7 @@ def _build_block(cpu: CPU, start: int, max_len: int):
                         f" + fwd(addr, {size}, ci + {j})",
                         f"gr[{dest}] = value",
                         nat_dest]
-            faultable = stall = True
+            raises = stall = True
         elif kind is OpKind.STORE:
             if len(instr.ins) < 2:
                 return None
@@ -595,7 +772,7 @@ def _build_block(cpu: CPU, start: int, max_len: int):
                     "if len(recent) > 4:",
                     "    recent.pop(0)",
                     f"stall = cache_access(addr, {size})"]
-            faultable = stall = True
+            raises = stall = True
         elif kind is OpKind.MOVBR:
             if not instr.ins or not instr.outs:
                 return None
@@ -608,7 +785,7 @@ def _build_block(cpu: CPU, start: int, max_len: int):
                            "    raise NaTConsumptionFault"
                            "(\"branch_move\")",
                            f"br[{ob}] = gr[{i0}]"]
-                    faultable = True
+                    raises = True
                 else:
                     sem = [f"br[{ob}] = 0"]
             else:
@@ -627,7 +804,7 @@ def _build_block(cpu: CPU, start: int, max_len: int):
                            f"if nats[{i0}]:",
                            "    raise NaTConsumptionFault(\"ar_move\")",
                            f"cpu.unat = gr[{i0}]"]
-                    faultable = True
+                    raises = True
                 else:
                     sem = ["cpu.unat = 0"]
             else:
@@ -650,15 +827,16 @@ def _build_block(cpu: CPU, start: int, max_len: int):
                 out = []
         else:
             out = sem
-        return out + acct_local(instr, stall=stall)
+        return out, stall, raises
 
-    def term_fragment(instr, i, j):
+    def term_fragment(instr, i, j, sched):
         """``(body, tail)`` for a block-ending instruction, or None.
 
         ``body`` takes the transfer's accounting and writeback, and
         returns on every path that cannot raise afterwards; ``tail``
         runs outside the members' fault handler and holds what follows
-        the writeback: an indirect target check or a handler call.
+        the writeback: an indirect target check or a handler call.  The
+        taken and fall-through paths render from copies of ``sched``.
         """
         op = instr.op
         kind = OP_KIND[op]
@@ -688,7 +866,8 @@ def _build_block(cpu: CPU, start: int, max_len: int):
             return None
         # The bucket lookup goes first so both paths share its cell.
         _, pre = use_key((instr.role, instr.origin))
-        off = (acct_local(instr) + _writeback(j + 1)
+        off_s, on_s = sched.copy(), sched.copy()
+        off = (account(instr, off_s, j) + off_s.exit(j + 1)
                + [f"return pc + {j + 1}"])
         skip = [f"not pr[{instr.qp}]"] if instr.qp else []
         tail: List[str] = []
@@ -697,7 +876,8 @@ def _build_block(cpu: CPU, start: int, max_len: int):
         if kind is OpKind.SYS:
             # Close the group and publish the block's state before the
             # guest OS runs: handlers read counters and may checkpoint.
-            on = acct_local(instr) + _close_local() + _writeback(j + 1)
+            on = (account(instr, on_s, j) + on_s.close_lines()
+                  + on_s.exit(j + 1))
             tail = [f"cpu.pc = pc + {j}",
                     "try:",
                     f"    {call}",
@@ -708,7 +888,7 @@ def _build_block(cpu: CPU, start: int, max_len: int):
         elif op in ("br.call.ind", "br.ret", "br.ind"):
             on = ([f"t = (br[{instr.ins[0].index}] & {hex(IMPL_MASK)})"
                    f" // {CODE_SLOT_BYTES} - 1"] + ret
-                  + acct_local(instr, taken=True) + _writeback(j + 1))
+                  + account(instr, on_s, j, taken=True) + on_s.exit(j + 1))
             tail = [f"if 0 <= t < {n}:",
                     "    return t",
                     f"cpu._fault_pc = pc + {j}",
@@ -719,12 +899,14 @@ def _build_block(cpu: CPU, start: int, max_len: int):
         else:
             if kind is OpKind.CHK:
                 skip.append(f"not nats[{i0}]")
-            on = (ret + acct_local(instr, taken=True) + _writeback(j + 1)
-                  + [f"return {tidx}"])
+            on = (ret + account(instr, on_s, j, taken=True)
+                  + on_s.exit(j + 1) + [f"return {tidx}"])
         if skip:
             pre += [f"if {' or '.join(skip)}:"] + _indent(off)
         return pre + on, tail
 
+
+    sched = _Schedule(cfg)
     body: List[str] = []
     tail: List[str] = []
     i = start
@@ -734,12 +916,21 @@ def _build_block(cpu: CPU, start: int, max_len: int):
         instr = code[i]
         kind = OP_KIND[instr.op]
         if kind not in _PLAIN_KINDS:
-            term = term_fragment(instr, i, j)
+            term = term_fragment(instr, i, j, sched)
             break
         frag = plain_fragment(instr, j)
         if frag is None:
             break
-        body += frag
+        sem, stall, raises = frag
+        if raises:
+            # A raise must find the counters exact: flush first, and let
+            # the fault path publish the statically open group.
+            if sched.synced:
+                body += sched.flush()
+                raisers.append((j, sched.publish()))
+            else:
+                raisers.append((j, None))
+        body += sem + account(instr, sched, j, stall=stall)
         fns.append(_ALU_FUNCS.get(instr.op) if kind is OpKind.ALU else None)
         i += 1
         j += 1
@@ -748,25 +939,26 @@ def _build_block(cpu: CPU, start: int, max_len: int):
     if not total:
         return None, (), conts
     if term is None:
-        body += _writeback(j) + [f"return pc + {j}"]
+        body += sched.exit(j) + [f"return pc + {j}"]
     else:
         body += term[0]
         tail = term[1]
-    if faultable:
+    if raisers:
+        handler = ["o = ipc - pc"]
+        cond = "if"
+        for o, publish in raisers:
+            if publish is not None:
+                handler += [f"{cond} o == {o}:"] + _indent(publish)
+                cond = "elif"
+        if any(p is None for _, p in raisers):
+            handler += (["else:"] + _indent(_STORE_LOCALS)
+                        if cond == "elif" else _STORE_LOCALS)
         body = (["try:"] + _indent(body)
-                + ["except Fault:",
-                   "    im._group_writes = gw",
-                   "    im._group_pr_writes = pw",
-                   "    im._group_mem = mm",
-                   "    im._group_slots = sl",
-                   "    counters.instructions = ci + (ipc - pc)",
-                   "    cpu._fault_pc = ipc",
-                   "    raise"])
-    body = (["gw = im._group_writes",
-             "pw = im._group_pr_writes",
-             "mm = im._group_mem",
-             "sl = im._group_slots",
-             "ci = counters.instructions"] + body + tail)
+                + ["except Fault:"]
+                + _indent(handler + ["counters.instructions = ci + o",
+                                     "cpu._fault_pc = ipc",
+                                     "raise"]))
+    body = _LOAD_LOCALS + ["ci = counters.instructions"] + body + tail
     return _render(body, cells), tuple(fns), conts
 
 
@@ -774,6 +966,8 @@ def _instantiate(src: str, shared: tuple, fns: tuple) -> Uop:
     code_obj = _FACTORY_CACHE.get(src)
     if code_obj is None:
         code_obj = _FACTORY_CACHE[src] = compile(src, "<predecode>", "exec")
+        if len(_FACTORY_CACHE) > FACTORY_CACHE_MAX:
+            del _FACTORY_CACHE[next(iter(_FACTORY_CACHE))]
     ns: dict = {}
     exec(code_obj, ns)
     return ns["_f"](*shared, fns)

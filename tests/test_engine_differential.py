@@ -12,7 +12,7 @@ runs every SPEC kernel instruction as generated code.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.spec import BENCHMARKS
 from repro.core.shift import build_machine
@@ -139,7 +139,9 @@ class TestSpecKernels:
     @pytest.mark.parametrize("issue_config", [
         IssueConfig(width=1, mem_ports=1),
         IssueConfig(branch_penalty=10),
-    ], ids=["width1", "penalty10"])
+        IssueConfig(mem_ports=1),
+        IssueConfig(cmp_branch_same_group=False),
+    ], ids=["width1", "penalty10", "ports1", "no-cmp-br-pair"])
     def test_shared_program_honours_issue_config(self, issue_config):
         bench = BENCHMARKS["gzip"]
         _spec_machine(bench, PERF_OPTIONS["byte"]).run()
@@ -547,3 +549,191 @@ class TestSliceSchedules:
             machines[engine] = machine
         assert_counters_identical(machines["reference"].counters,
                                   machines["predecoded"].counters)
+
+
+# -- render-time issue schedule ---------------------------------------------
+# Fused blocks work out their issue groups when rendered (see
+# ``repro.cpu.predecode._Schedule``).  These random straight-line blocks
+# draw from a small register pool so dependencies are dense, and enter
+# each block both through a not-taken branch (the incoming group stays
+# open) and through a taken one (it arrives empty).
+
+_POOL = ("r14", "r15", "r16", "r17", "r18")
+_BASE = make_address(REGION_DATA, 0x200)
+_ROLES = (None, "tag_compute", "tag_mem")
+
+_SCHED_CONFIGS = {
+    "default": IssueConfig(),
+    "width2": IssueConfig(width=2),
+    "ports1": IssueConfig(mem_ports=1),
+    "no-cmp-br-pair": IssueConfig(cmp_branch_same_group=False),
+}
+
+_reg = st.sampled_from(_POOL)
+_member = st.one_of(
+    st.builds("{} {} = {}, {}".format,
+              st.sampled_from(["add", "sub", "xor", "and", "or"]),
+              _reg, _reg, _reg),
+    st.builds("shl {} = {}, 3".format, _reg, _reg),
+    st.builds("mov {} = {}".format, _reg, _reg),
+    st.builds("movl {} = {}".format, _reg, st.integers(0, 1 << 40)),
+    st.builds("cmp.lt p8, p9 = {}, {}".format, _reg, _reg),
+    st.builds("ld8 {} = [{}]".format, _reg, st.sampled_from(["r20", "r21"])),
+    st.builds("st8 [{}] = {}".format, st.sampled_from(["r20", "r21"]), _reg),
+    st.just("nop"),
+)
+_predicated = st.tuples(st.sampled_from(["", "(p6) ", "(p7) ", "(p8) "]),
+                        _member).map("".join)
+_members = st.lists(st.tuples(_predicated, st.sampled_from(_ROLES)),
+                    min_size=1, max_size=MAX_BLOCK + 6)
+
+
+def _schedule_program(incoming, members, branch, plant, entry):
+    """Assemble the program that runs ``members`` as the block ``blk``."""
+    if plant is not None:
+        offset, kind = plant
+        members = list(members)
+        members[offset % len(members)] = (
+            "ld8 r14 = [r22]" if kind == "ld" else "st8 [r22] = r15", None)
+    lines = [f"movl r20 = {_BASE}", f"movl r21 = {_BASE + 8}",
+             f"movl r22 = {_BASE + 16}", "settag r22"]
+    lines += [f"movl {r} = {3 + 5 * k}" for k, r in enumerate(_POOL)]
+    lines += ["cmp.eq p6, p7 = r0, r0", "cmp.lt p8, p9 = r14, r15"]
+    if entry == "taken":
+        lines.append("br blk")
+    else:
+        lines += [text for text, _ in incoming] + ["(p7) br.cond out"]
+    body = [text for text, _ in members]
+    if branch is not None:
+        body += [f"cmp.{'eq' if branch else 'ne'} p10, p11 = r16, r16",
+                 "(p10) br.cond out"]
+    text = ("func main:\n" + "\n".join(lines) + "\nblk:\n" + "\n".join(body)
+            + f"\nmovl r32 = 1\n{EXIT}\nout:\n{EXIT}\nendfunc\n")
+    program = assemble(text)
+    leader = program.label_index("blk")
+    for k, (_, role) in enumerate(members):
+        if role is not None:
+            instr = program.code[leader + k]
+            program.code[leader + k] = instr.with_role(role, "load")
+    return program
+
+
+def _open_group(cpu):
+    """The issue model's open group: bucket keys and the four masks."""
+    im = cpu.issue
+    names = {id(cost): key for key, cost in cpu.counters.pair_costs.items()}
+    return ([names[id(cost)] for cost in im._group], im._group_writes,
+            im._group_pr_writes, im._group_mem, im._group_slots)
+
+
+class TestRenderTimeSchedule:
+    @pytest.mark.parametrize("config", sorted(_SCHED_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    @given(incoming=_members, members=_members,
+           branch=st.sampled_from([None, True, False]),
+           plant=st.none() | st.tuples(st.integers(0, MAX_BLOCK + 5),
+                                       st.sampled_from(["ld", "st"])))
+    # A fault three members after the sync point, with a group open.
+    @example(incoming=[("add r17 = r14, r15", None)],
+             members=[("add r14 = r15, r16", None),
+                      ("add r14 = r14, r17", "tag_compute"),
+                      ("xor r15 = r16, r17", None), ("nop", "tag_mem"),
+                      ("add r16 = r14, r15", None)],
+             branch=None, plant=(4, "ld"))
+    def test_random_blocks_identical(self, config, incoming, members,
+                                     branch, plant):
+        for entry in ("fall", "taken"):
+            outcomes = {}
+            for engine in ENGINES:
+                program = _schedule_program(incoming, members, branch,
+                                            plant, entry)
+                cpu = CPU(program, SparseMemory(),
+                          issue_config=_SCHED_CONFIGS[config],
+                          syscall_handler=_exit_syscall, engine=engine)
+                try:
+                    cpu.run(max_instructions=1_000)
+                    fault = None
+                except NaTConsumptionFault as exc:
+                    # A fault aborts the slice before any flush, so the
+                    # open group is observable here.
+                    fault = (exc.pc, exc.kind, _open_group(cpu))
+                outcomes[engine] = (cpu, fault, cpu.counters.instructions)
+            ref, pre = outcomes["reference"], outcomes["predecoded"]
+            assert ref[1:] == pre[1:], entry
+            assert (plant is not None) == (ref[1] is not None)
+            assert_counters_identical(ref[0].counters, pre[0].counters)
+
+    def test_sync_point_pinned(self):
+        """A serial tag chain syncs the schedule at its second member."""
+        from repro.cpu.predecode import _build_block
+
+        text = f"""
+        func main:
+            br blk
+        blk:
+            add r14 = r15, r16
+            shl r14 = r14, 3
+            add r14 = r14, r17
+            add r15 = r16, r17
+            add r18 = r16, r17
+            br out
+        out:
+            {EXIT}
+        endfunc
+        """
+        cpu = _asm_cpu(text, "predecoded")
+        lines = _build_block(cpu, 1, MAX_BLOCK)[0].splitlines()
+        # Member 0 keeps run-time accounting; member 1 (it reads the
+        # r14 member 0 wrote) closes unconditionally right after its
+        # semantics.  No later member appends to the run-time group.
+        sync = next(k for k, ln in enumerate(lines) if "<< 3" in ln) + 2
+        assert lines[sync] == lines[sync - 1].replace(
+            "nats[14] = nats[14]", "counters.groups += 1")
+        assert all("group.append(" not in ln and "sl += " not in ln
+                   and "if gw" not in ln for ln in lines[sync:])
+        assert sum("group.append(" in ln for ln in lines[:sync]) == 1
+        # Groups [1] and [2, 3, 4, br] close at render time.
+        assert any(ln.strip() == "counters.groups += 2" for ln in lines)
+        assert any(ln.strip() == "c0.issue_cycles = c0.issue_cycles"
+                   " + 1.0 + 0.25 + 0.25 + 0.25 + 0.25" for ln in lines)
+        outcomes = {}
+        for engine in ENGINES:
+            cpu = _asm_cpu(text, engine)
+            cpu.run(max_instructions=1_000)
+            outcomes[engine] = cpu.counters
+        assert_counters_identical(outcomes["reference"],
+                                  outcomes["predecoded"])
+
+
+def test_factory_cache_bounded(monkeypatch):
+    """Past its cap the code cache evicts oldest-first, and an evicted
+    source compiles again and runs identically."""
+    from repro.cpu import predecode
+
+    monkeypatch.setattr(predecode, "FACTORY_CACHE_MAX", 3)
+    monkeypatch.setattr(predecode, "_FACTORY_CACHE", {})
+    cache = predecode._FACTORY_CACHE
+
+    def text(k):
+        return f"""
+        func main:
+            movl r14 = {k}
+            add r32 = r14, r14
+            {EXIT}
+        endfunc
+        """
+
+    first = set()
+    for k in range(6):
+        _asm_cpu(text(k), "predecoded").run(max_instructions=100)
+        assert len(cache) <= 3
+        first = first or set(cache)
+    assert first and not first & set(cache)
+    counters = {}
+    for engine in ENGINES:
+        cpu = _asm_cpu(text(0), engine)
+        cpu.run(max_instructions=100)
+        assert cpu.exit_code == 0
+        counters[engine] = cpu.counters
+    assert first <= set(cache)
+    assert_counters_identical(counters["reference"], counters["predecoded"])
